@@ -60,6 +60,7 @@ from .simulate import (
     ExperimentSpec,
     LengthLaw,
     calibrate_alarms,
+    config_for,
     estimate_power,
     estimate_type1,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "UNREACHABLE",
     "build_transfer_operator",
     "calibrate_alarms",
+    "config_for",
     "decision_thresholds",
     "detect",
     "detect_frames",

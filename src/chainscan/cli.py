@@ -24,7 +24,7 @@ from .errors import ParseError
 from .grid import load_csv_grid, load_pgm_grid
 from .rates import estimate_run_rate, resolve_run_rate
 from .scan import UNREACHABLE
-from .simulate import ExperimentSpec, LengthLaw, estimate_power, estimate_type1
+from .simulate import ExperimentSpec, LengthLaw, config_for, estimate_power, estimate_type1
 
 _MC_ROW_LIMIT = 20
 
@@ -200,9 +200,10 @@ def _cmd_simulate(args) -> int:
         trials=raw.get("trials", 100),
         seed=raw["seed"],
     )
-    rows = [estimate_type1(spec)]
+    config = config_for(spec)
+    rows = [estimate_type1(spec, config=config)]
     if spec.mu > 0:
-        rows.append(estimate_power(spec))
+        rows.append(estimate_power(spec, config=config))
     lines = ["kind,rate,stderr,trials,m,n,C,x_star,epsilon,delta2,law,coef,mu,seed"]
     for est in rows:
         lines.append(
@@ -278,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="Monte Carlo error rates from a spec JSON")
     sp.add_argument("--spec", required=True)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_simulate)
 
@@ -303,3 +303,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -150,7 +150,15 @@ def significance_map(grid: ImageGrid, x_star: float) -> SignificanceMap:
 
 
 def load_csv_grid(path) -> ImageGrid:
-    """Load a grid from CSV: header line ``m,n`` then m lines of n numbers."""
+    """Load a grid from CSV: header line ``m,n`` then m lines of n numbers.
+
+    Blank lines are skipped, each value is read with :func:`float` and must be
+    finite. The data rows go first through one vectorized ``np.loadtxt``
+    call, whose result is kept only if its shape is exactly (m, n) and every
+    value is finite; there it agrees bit for bit with :func:`float`. Any other
+    file goes through the line-by-line parser, which accepts the same files
+    and raises a :class:`ParseError` naming the line and column at fault.
+    """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or not any(line.strip() for line in lines):
@@ -165,7 +173,34 @@ def load_csv_grid(path) -> ImageGrid:
         raise ParseError(f"{path}: line 1: non-integer dimensions {header!r}") from None
     if m < 1 or n < 1:
         raise ParseError(f"{path}: line 1: dimensions must be positive, got {m},{n}")
-    data_lines = [ln for ln in lines[1:] if ln.strip()]
+    values = _csv_rows_fast(lines[1:], m, n)
+    if values is None:
+        values = _csv_rows_checked(path, lines[1:], m, n)
+    return ImageGrid(values)
+
+
+def _csv_rows_fast(lines: list[str], m: int, n: int) -> np.ndarray | None:
+    """The m-by-n values of well-formed data lines, or None for any other input.
+
+    ``np.loadtxt`` skips empty lines as the checked parser does and rejects
+    whitespace-only lines, quotes, ``#``, underscores, empty fields and ragged
+    rows, so those files fall through to :func:`_csv_rows_checked`.
+    """
+    if not any(lines):  # loadtxt warns on input with no data
+        return None
+    try:
+        values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                            ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (m, n) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _csv_rows_checked(path, lines: list[str], m: int, n: int) -> np.ndarray:
+    """Parse data lines token by token, raising ParseError at the first fault."""
+    data_lines = [ln for ln in lines if ln.strip()]
     if len(data_lines) != m:
         raise ParseError(f"{path}: expected {m} data rows, found {len(data_lines)}")
     values = np.empty((m, n), dtype=np.float64)
@@ -187,7 +222,7 @@ def load_csv_grid(path) -> ImageGrid:
                     f"{path}: line {r + 2}, column {c + 1}: non-finite value {tok.strip()!r}"
                 )
             values[r, c] = v
-    return ImageGrid(values)
+    return values
 
 
 def write_csv_grid(grid: ImageGrid, path) -> None:

@@ -86,18 +86,19 @@ class TransferOperator:
         self.C = C
         self.p = p
         size = 1 << m
-        single = np.zeros(m, dtype=np.int64)
-        for i in range(m):
-            mask = 0
-            for r in range(max(0, i - C), min(m - 1, i + C) + 1):
-                mask |= 1 << r
-            single[i] = mask
         nb = np.zeros(size, dtype=np.int64)
-        for mask in range(1, size):
-            low = mask & -mask
-            nb[mask] = nb[mask ^ low] | single[low.bit_length() - 1]
+        pop = np.zeros(size, dtype=np.int64)
+        for i in range(m):
+            # the masks whose highest row is i are the masks below 2^i plus row i
+            window = ((1 << min(m, i + C + 1)) - 1) ^ ((1 << max(0, i - C)) - 1)
+            nb[1 << i : 2 << i] = nb[: 1 << i] | window
+            pop[1 << i : 2 << i] = pop[: 1 << i] + 1
         self._nb = nb
-        self._pop = np.array([bin(s).count("1") for s in range(size)], dtype=np.int64)
+        self._pop = pop
+        # per-state factors of matvec: p^|A'|(1-p)^(|N(A)|-|A'|) split into
+        # (p/(1-p))^|A'| on the source and (1-p)^|N(A)| on the target
+        self._in_weight = (p / (1.0 - p)) ** pop
+        self._out_weight = (1.0 - p) ** pop[nb]
 
     @property
     def dim(self) -> int:
@@ -138,14 +139,18 @@ class TransferOperator:
         size = 1 << self.m
         if v.shape != (size,):
             raise ValueError(f"vector must have length {size}")
-        ratio = self.p / (1.0 - self.p)
-        w = v * ratio**self._pop
+        w = v * self._in_weight
         w[0] = 0.0
         for b in range(self.m):
-            w = w.reshape(-1, 2, 1 << b)
-            w[:, 1, :] += w[:, 0, :]
-            w = w.reshape(size)
-        out = (1.0 - self.p) ** self._pop[self._nb] * w[self._nb]
+            half = 1 << b
+            if half <= 8:  # short runs: per-offset column adds beat the 3-D view
+                blocks = w.reshape(-1, 2 * half)
+                for k in range(half):
+                    blocks[:, half + k] += blocks[:, k]
+            else:
+                blocks = w.reshape(-1, 2, half)
+                blocks[:, 1, :] += blocks[:, 0, :]
+        out = self._out_weight * w[self._nb]
         out[0] = 0.0
         return out
 

@@ -28,6 +28,7 @@ __all__ = [
     "LengthLaw",
     "ExperimentSpec",
     "ErrorEstimate",
+    "config_for",
     "estimate_type1",
     "estimate_power",
     "calibrate_alarms",
@@ -106,10 +107,26 @@ def _estimate(rate_sum: int, trials: int, kind: str) -> ErrorEstimate:
     return ErrorEstimate(rate, stderr, trials, kind)
 
 
-def _config_for(spec: ExperimentSpec) -> DetectorConfig:
+def config_for(spec: ExperimentSpec) -> DetectorConfig:
+    """Resolve the detector configuration an experiment runs under."""
     return make_config(
         spec.m, spec.C, spec.x_star, spec.epsilon, spec.delta2, seed=spec.seed
     )
+
+
+def _checked_config(spec: ExperimentSpec, config: DetectorConfig | None) -> DetectorConfig:
+    """``config``, or the spec's own when None; a config whose m, C, x_star,
+    epsilon or delta2 differ from the spec's is an error."""
+    if config is None:
+        return config_for(spec)
+    got = (config.run_rate.m, config.C, config.x_star, config.epsilon, config.delta2)
+    want = (spec.m, spec.C, spec.x_star, spec.epsilon, spec.delta2)
+    if got != want:
+        raise ValueError(
+            f"config disagrees with the spec: (m, C, x_star, epsilon, delta2) = {got}, "
+            f"spec has {want}"
+        )
+    return config
 
 
 def _chunks(trials: int, m: int, n: int):
@@ -129,11 +146,15 @@ def _reject_counts(x: np.ndarray, config: DetectorConfig, step1: float, step2: f
     return int(((lengths > step1) | (values > step2)).sum())
 
 
-def estimate_type1(spec: ExperimentSpec) -> ErrorEstimate:
-    """Fraction of pure-noise grids the detector rejects (``spec.mu`` is ignored)."""
+def estimate_type1(spec: ExperimentSpec, config: DetectorConfig | None = None) -> ErrorEstimate:
+    """Fraction of pure-noise grids the detector rejects (``spec.mu`` is ignored).
+
+    ``config`` is the resolved :func:`config_for` of the spec, to share one
+    run-rate resolution between estimates; it is resolved here when omitted.
+    """
     if spec.trials < 50:
         raise ValueError(f"need trials >= 50 for a rate estimate, got {spec.trials}")
-    config = _config_for(spec)
+    config = _checked_config(spec, config)
     thr = _thresholds_for(config, spec.m, spec.n)
     cap = _scan_cap(config, spec.m, spec.n)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
@@ -144,20 +165,25 @@ def estimate_type1(spec: ExperimentSpec) -> ErrorEstimate:
     return _estimate(hits, spec.trials, "type1")
 
 
-def estimate_power(spec: ExperimentSpec, fixed_chain: ChainPath | None = None) -> ErrorEstimate:
+def estimate_power(
+    spec: ExperimentSpec,
+    fixed_chain: ChainPath | None = None,
+    config: DetectorConfig | None = None,
+) -> ErrorEstimate:
     """Fraction of signal grids the detector rejects.
 
     Each trial plants a fresh random chain of the law's length with mean
     ``spec.mu`` added on its nodes (the composite alternative); pass
     ``fixed_chain`` to hold the placement constant for variance reduction.
     ``mu = 0`` degenerates to the null and is allowed for cross-checks.
+    ``config`` is as in :func:`estimate_type1`.
     """
     if spec.trials < 50:
         raise ValueError(f"need trials >= 50 for a rate estimate, got {spec.trials}")
     length = spec.length_law.realize(spec.n)
     if fixed_chain is not None:
         fixed_chain.validate(spec.m, spec.n, spec.C)
-    config = _config_for(spec)
+    config = _checked_config(spec, config)
     thr = _thresholds_for(config, spec.m, spec.n)
     cap = _scan_cap(config, spec.m, spec.n)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 2]))

@@ -1,11 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chainscan
 from chainscan import generate_chain, embed_chain, generate_null_grid, write_csv_grid
 from chainscan.cli import main
 
@@ -196,12 +200,50 @@ class TestSimulateCommand:
         assert code == 2
         assert "seed" in err
 
+    def test_threads_flag_removed(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"m": 6, "n": 150, "trials": 50, "seed": 5}))
+        code, out, err = run_cli("simulate", "--spec", str(spec), "--threads", "2")
+        assert code == 2 and out == ""
+        assert "--threads" in err
+
     def test_reproducible_output(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"m": 6, "n": 150, "trials": 50, "seed": 5}))
         _, out1, _ = run_cli("simulate", "--spec", str(spec))
         _, out2, _ = run_cli("simulate", "--spec", str(spec))
         assert out1 == out2
+
+
+class TestModuleEntry:
+    """``python -m chainscan`` and ``python -m chainscan.cli`` run ``main``."""
+
+    @staticmethod
+    def run_module(module, *argv):
+        src = str(Path(chainscan.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("module", ["chainscan", "chainscan.cli"])
+    def test_detect_prints_json(self, tmp_path, module):
+        grid = embed_chain(generate_null_grid(6, 80, seed=3),
+                           generate_chain(6, 80, 1, 80, seed=4), 4.0)
+        path = tmp_path / "g.csv"
+        write_csv_grid(grid, path)
+        done = self.run_module(module, "detect", "--input", str(path))
+        assert done.returncode == 0, done.stderr
+        _, expected, _ = run_cli("detect", "--input", str(path))
+        assert json.loads(done.stdout) == json.loads(expected)
+        assert json.loads(done.stdout)["stage"] == "step1"
+
+    @pytest.mark.parametrize("module", ["chainscan", "chainscan.cli"])
+    def test_exit_code_passes_through(self, module):
+        done = self.run_module(module, "detect", "--input", "missing.csv")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "missing.csv" in done.stderr
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from chainscan import (
     significance_map,
     write_csv_grid,
 )
+from chainscan import grid as grid_module
 
 
 class TestCsv:
@@ -64,6 +66,93 @@ class TestCsv:
         write_csv_grid(g, path)
         back = load_csv_grid(path)
         assert np.array_equal(back.values, g.values)
+
+
+def _load_both(path, monkeypatch):
+    """(default loader, checked parser alone): each the values' bytes or the ParseError text."""
+
+    def outcome():
+        try:
+            return load_csv_grid(path).values.tobytes()
+        except ParseError as exc:
+            return str(exc)
+
+    default = outcome()
+    with monkeypatch.context() as mp:
+        mp.setattr(grid_module, "_csv_rows_fast", lambda lines, m, n: None)
+        checked = outcome()
+    return default, checked
+
+
+def _fast_accepts(path) -> bool:
+    lines = path.read_text(encoding="ascii").splitlines()
+    m, n = (int(t) for t in lines[0].split(","))
+    return grid_module._csv_rows_fast(lines[1:], m, n) is not None
+
+
+class TestCsvParsers:
+    """The vectorized fast path and the checked parser agree on every input."""
+
+    # (case, file bytes, fast path accepts, expected values or ParseError pattern)
+    CASES = [
+        ("n = 1", b"3,1\n1\n2\n3\n", True, [[1.0], [2.0], [3.0]]),
+        ("m = 1", b"1,3\n1,2,3\n", True, [[1.0, 2.0, 3.0]]),
+        ("1 x 1", b"1,1\n0.5\n", True, [[0.5]]),
+        ("blank lines", b"2,2\n\n1,2\n\n3,4\n\n", True, [[1.0, 2.0], [3.0, 4.0]]),
+        ("whitespace-only line", b"2,2\n1,2\n \t \n3,4\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+        ("CRLF", b"2,2\r\n1,2\r\n3,4\r\n", True, [[1.0, 2.0], [3.0, 4.0]]),
+        ("padding", b"2,2\n 1 ,\t2\n3\t, 4 \n", True, [[1.0, 2.0], [3.0, 4.0]]),
+        ("form feed ends a line", b"2,2\n1,2\x0c3,4\n", True, [[1.0, 2.0], [3.0, 4.0]]),
+        ("signs", b"1,3\n+1,-0,-.5e-1\n", True, [[1.0, -0.0, -0.05]]),
+        ("underscore", b"1,2\n1_0,2\n", False, [[10.0, 2.0]]),
+        ("hash", b"1,2\n1,#2\n", False, r"line 2, column 2: invalid number '#2'"),
+        ("quotes", b'1,2\n"1",2\n', False, r"line 2, column 1: invalid number '\"1\"'"),
+        ("empty field", b"1,3\n1,,2\n", False, r"line 2, column 2: invalid number ''"),
+        ("trailing comma", b"1,2\n1,2,\n", False, r"line 2: row 1 has 3 values, expected 2"),
+        ("nan", b"1,2\n1,nan\n", False, r"line 2, column 2: non-finite value 'nan'"),
+        ("-Infinity", b"1,2\n-Infinity,1\n", False,
+         r"line 2, column 1: non-finite value '-Infinity'"),
+        ("overflow", b"1,1\n1e400\n", False, r"line 2, column 1: non-finite value '1e400'"),
+        ("hex", b"1,1\n0x10\n", False, r"line 2, column 1: invalid number '0x10'"),
+        ("ragged row", b"2,2\n1,2\n3\n", False, r"line 3: row 2 has 1 values, expected 2"),
+        ("too few rows", b"3,2\n1,2\n3,4\n", False, r"expected 3 data rows, found 2"),
+        ("header only", b"2,2\n\n", False, r"expected 2 data rows, found 0"),
+    ]
+
+    @pytest.mark.parametrize("case,data,fast,expected", CASES, ids=[c[0] for c in CASES])
+    def test_parsers_agree(self, tmp_path, monkeypatch, case, data, fast, expected):
+        path = tmp_path / "g.csv"
+        path.write_bytes(data)
+        default, checked = _load_both(path, monkeypatch)
+        assert default == checked
+        assert _fast_accepts(path) is fast
+        if isinstance(expected, str):
+            assert isinstance(checked, str)
+            assert re.search(expected, checked), checked
+        else:
+            assert checked == np.array(expected, dtype=np.float64).tobytes()
+
+    def test_fast_path_bit_identical_to_float(self, tmp_path):
+        rng = np.random.default_rng(5)
+        tiny = 2.0**-1074
+        tokens = [
+            "5e-324", "4.9406564584124654e-324", "2.2250738585072009e-308",
+            "2.2250738585072014e-308", "1e-320", "-3e-310",
+            *(repr(float(v) * tiny) for v in rng.integers(1, 2**52, size=6)),
+            *(f"{v:.17g}" for v in rng.standard_normal(6) * 10.0 ** rng.integers(-300, 300, 6)),
+            *("".join(str(d) for d in rng.integers(0, 10, 25)) + f"e{e}"
+              for e in rng.integers(-330, 280, 6)),
+            "0.1000000000000000055511151231257827", "1.7976931348623157e308",
+            "-1.7976931348623157e308", "1.7976931348623158e308", "1.79769313486231580793e308",
+            "-1.797693134862315708e308", "1.7976931348623156e308",
+        ]
+        expected = [float(t) for t in tokens]
+        assert all(math.isfinite(v) for v in expected)
+        path = tmp_path / "g.csv"
+        path.write_text(f"1,{len(tokens)}\n" + ",".join(tokens) + "\n")
+        assert _fast_accepts(path)
+        got = load_csv_grid(path).values
+        assert got.tobytes() == np.array([expected], dtype=np.float64).tobytes()
 
 
 class TestPgm:

@@ -81,6 +81,32 @@ class TestTransferOperator:
         out = op.matvec(v)
         assert np.allclose(out[1:], dense @ v[1:], atol=1e-13)
 
+    @pytest.mark.parametrize("C", [1, 2])
+    def test_state_tables_match_definitions(self, C):
+        for m in range(1, 11):
+            op = build_transfer_operator(m, C, 0.1)
+            assert op._pop.tolist() == [bin(a).count("1") for a in range(1 << m)]
+            assert op._nb[0] == 0
+            for a in range(1, 1 << m):
+                rows = [r + 1 for r in range(m) if a >> r & 1]
+                want = sum(1 << (r - 1) for r in neighborhood(rows, C, m))
+                assert op._nb[a] == want, (m, C, rows)
+
+    @pytest.mark.parametrize("C,p", [(1, 0.1), (2, 0.05), (1, 0.3)])
+    def test_matvec_bit_identical_to_plain_zeta(self, rng, C, p):
+        # the plain subset-sum transform: one reshaped add per bit, weights per call
+        for m in range(1, 11):
+            op = build_transfer_operator(m, C, p)
+            v = rng.random(1 << m)
+            w = v * (p / (1.0 - p)) ** op._pop
+            w[0] = 0.0
+            for b in range(m):
+                blocks = w.reshape(-1, 2, 1 << b)
+                blocks[:, 1, :] += blocks[:, 0, :]
+            want = (1.0 - p) ** op._pop[op._nb] * w[op._nb]
+            want[0] = 0.0
+            assert op.matvec(v).tobytes() == want.tobytes()
+
     def test_capacity_guard(self):
         with pytest.raises(CapacityError, match="monte-carlo"):
             build_transfer_operator(21, 1, 0.1)

@@ -7,6 +7,7 @@ from chainscan import (
     ExperimentSpec,
     LengthLaw,
     calibrate_alarms,
+    config_for,
     detect_frames,
     embed_chain,
     estimate_power,
@@ -17,6 +18,8 @@ from chainscan import (
     significance_map,
 )
 from chainscan import _kernels
+from chainscan import simulate as simulate_module
+from chainscan.cli import main
 
 
 class TestLengthLaw:
@@ -90,6 +93,35 @@ class TestEstimators:
                               mu=2.0, trials=60, seed=6)
         est = estimate_power(spec, fixed_chain=chain)
         assert 0.0 <= est.rate <= 1.0
+
+
+class TestSharedConfig:
+    SPEC = ExperimentSpec(m=6, n=300, mu=2.0, trials=50, seed=8,
+                          length_law=LengthLaw("linear", 0.2))
+
+    def test_passed_config_gives_same_estimates(self):
+        config = config_for(self.SPEC)
+        assert estimate_type1(self.SPEC, config=config) == estimate_type1(self.SPEC)
+        assert estimate_power(self.SPEC, config=config) == estimate_power(self.SPEC)
+
+    @pytest.mark.parametrize("change", [dict(m=7), dict(C=2), dict(x_star=1.5),
+                                        dict(epsilon=0.01), dict(delta2=0.01)])
+    def test_disagreeing_config_rejected(self, change):
+        other = config_for(ExperimentSpec(**{**self.SPEC.__dict__, **change}))
+        with pytest.raises(ValueError, match="disagrees with the spec"):
+            estimate_type1(self.SPEC, config=other)
+        with pytest.raises(ValueError, match="disagrees with the spec"):
+            estimate_power(self.SPEC, config=other)
+
+    def test_simulate_command_resolves_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = simulate_module.make_config
+        monkeypatch.setattr(simulate_module, "make_config",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"m": 6, "n": 300, "mu": 2.0, "trials": 50, "seed": 8}')
+        assert main(["simulate", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
 
 
 class TestEmbeddedSubRunLaw:
