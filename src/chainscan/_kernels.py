@@ -16,6 +16,16 @@ NEG_INF = float("-inf")
 # per-column rolling DP takes over (cheaper when runs are very long).
 _PROP_CAP = 512
 
+# Grid cells per trial batch: 1 MB per float64 array, so a batch stays in cache.
+_BATCH_CELLS = 1 << 17
+
+
+def trial_batches(trials: int, m: int, n: int):
+    """Sizes of consecutive batches of m-by-n trials: about _BATCH_CELLS cells, at least 1 trial."""
+    size = max(1, _BATCH_CELLS // (m * n))
+    for start in range(0, trials, size):
+        yield min(size, trials - start)
+
 
 def dilate_rows_or(cur: np.ndarray, C: int) -> np.ndarray:
     """OR over the +/-C row window, rows on axis -2."""
@@ -33,6 +43,24 @@ def dilate_rows_max(cur: np.ndarray, C: int) -> np.ndarray:
         np.maximum(out[..., :-d, :], cur[..., d:, :], out=out[..., :-d, :])
         np.maximum(out[..., d:, :], cur[..., :-d, :], out=out[..., d:, :])
     return out
+
+
+def _chain_step(bits: np.ndarray, cur: np.ndarray, C: int) -> np.ndarray:
+    """Next reachability layer on (..., m, n): the set cells of ``bits`` one
+    column right of, and within C rows of, a cell of ``cur``."""
+    nxt = np.zeros_like(cur)
+    nxt[..., 1:] = bits[..., 1:] & dilate_rows_or(cur, C)[..., :-1]
+    return nxt
+
+
+def _scan_step(x: np.ndarray, z: np.ndarray, layer: np.ndarray, C: int) -> np.ndarray:
+    """Scan layer u+1 from layer u on (..., m, n): the best sum of a chain one
+    node longer ending at each significant cell, NEG_INF where unreachable."""
+    prev = dilate_rows_max(layer, C)
+    nxt = np.full_like(layer, NEG_INF)
+    np.add(x[..., 1:], prev[..., :-1], out=nxt[..., 1:],
+           where=z[..., 1:] & (prev[..., :-1] > NEG_INF))
+    return nxt
 
 
 def _rolling_lengths(bits: np.ndarray, C: int) -> np.ndarray:
@@ -61,7 +89,7 @@ def chain_lengths(bits: np.ndarray, C: int) -> np.ndarray:
         bits = bits[None]
     T, m, n = bits.shape
     lengths = np.zeros(T, dtype=np.int64)
-    cur = bits.copy()
+    cur = bits
     k = 0
     while True:
         alive = cur.any(axis=(1, 2))
@@ -75,9 +103,7 @@ def chain_lengths(bits: np.ndarray, C: int) -> np.ndarray:
             idx = np.flatnonzero(alive)
             lengths[idx] = _rolling_lengths(bits[idx], C)
             return lengths
-        nxt = np.zeros_like(cur)
-        nxt[:, :, 1:] = bits[:, :, 1:] & dilate_rows_or(cur, C)[:, :, :-1]
-        cur = nxt
+        cur = _chain_step(bits, cur, C)
 
 
 def chain_length_single(bits2d: np.ndarray, C: int) -> int:
@@ -86,20 +112,18 @@ def chain_length_single(bits2d: np.ndarray, C: int) -> int:
 
 def _endpoint_by_propagation(bits: np.ndarray, C: int):
     """(length, end_row, end_col) of a longest chain, or None past the cap."""
-    m, n = bits.shape
-    cur = bits[None].copy()
+    n = bits.shape[1]
+    cur = bits
     k = 0
     last = None
     while cur.any():
         k += 1
-        last = cur[0]
+        last = cur
         if k >= n:
             break
         if k >= _PROP_CAP:
             return None  # too deep for layer propagation; caller falls back
-        nxt = np.zeros_like(cur)
-        nxt[:, :, 1:] = bits[None, :, 1:] & dilate_rows_or(cur, C)[:, :, :-1]
-        cur = nxt
+        cur = _chain_step(bits, cur, C)
     if k == 0:
         return 0, None, None
     flat = int(np.argmax(last))
@@ -112,12 +136,9 @@ def _witness_rows_by_slab(bits: np.ndarray, C: int, k: int, i: int, j: int) -> l
     m = bits.shape[0]
     lo = j - k + 1
     slab = bits[:, lo : j + 1]
-    layers = [slab.copy()]
+    layers = [slab]
     for _ in range(k - 1):
-        cur = layers[-1]
-        nxt = np.zeros_like(cur)
-        nxt[:, 1:] = slab[:, 1:] & dilate_rows_or(cur[None], C)[0][:, :-1]
-        layers.append(nxt)
+        layers.append(_chain_step(slab, layers[-1], C))
     rows = [i]
     r, c = i, k - 1
     for v in range(k - 1, 0, -1):
@@ -206,10 +227,7 @@ def scan_values(x: np.ndarray, z: np.ndarray, C: int, U: int,
     layer = np.where(z, x, NEG_INF)
     best = layer.max(axis=(1, 2)) - center
     for u in range(2, U + 1):
-        prev = dilate_rows_max(layer, C)
-        layer = np.full_like(layer, NEG_INF)
-        np.add(x[:, :, 1:], prev[:, :, :-1], out=layer[:, :, 1:],
-               where=z[:, :, 1:] & (prev[:, :, :-1] > NEG_INF))
+        layer = _scan_step(x, z, layer, C)
         mx = layer.max(axis=(1, 2))
         if not np.isfinite(mx).any():
             break
@@ -230,10 +248,7 @@ def scan_best_single(x2d: np.ndarray, z2d: np.ndarray, C: int, U: int,
     best = float(layer.flat[flat]) - center
     arg = (flat // n, flat % n, 1)
     for u in range(2, U + 1):
-        prev = dilate_rows_max(layer[None], C)[0]
-        layer = np.full_like(layer, NEG_INF)
-        np.add(x[:, 1:], prev[:, :-1], out=layer[:, 1:],
-               where=z[:, 1:] & (prev[:, :-1] > NEG_INF))
+        layer = _scan_step(x, z, layer, C)
         flat = int(np.argmax(layer))
         top = float(layer.flat[flat])
         if top == NEG_INF:
@@ -255,12 +270,8 @@ def scan_backtrack(x2d: np.ndarray, z2d: np.ndarray, C: int, i: int, j: int, u: 
     lo = j - u + 1
     xs, zs = x[:, lo : j + 1], z[:, lo : j + 1]
     layers = [np.where(zs, xs, NEG_INF)]
-    for v in range(2, u + 1):
-        prev = dilate_rows_max(layers[-1][None], C)[0]
-        cur = np.full_like(layers[-1], NEG_INF)
-        np.add(xs[:, 1:], prev[:, :-1], out=cur[:, 1:],
-               where=zs[:, 1:] & (prev[:, :-1] > NEG_INF))
-        layers.append(cur)
+    for _ in range(2, u + 1):
+        layers.append(_scan_step(xs, zs, layers[-1], C))
     m = x.shape[0]
     rows = [i]
     r, c = i, u - 1

@@ -171,8 +171,7 @@ def _cmd_frames(args) -> int:
     frames = [load_pgm_grid(p) if p.suffix.lower() == ".pgm" else load_csv_grid(p)
               for p in paths]
     config = _build_config(args, frames[0].m)
-    stats = detect_frames(frames, config, args.l0_alarm, args.scan_alarm,
-                          threads=args.threads)
+    stats = detect_frames(frames, config, args.l0_alarm, args.scan_alarm)
     lines = ["frame,l0,xs,alarm"]
     for st in stats:
         xs = "-inf" if st.x_star_s == UNREACHABLE else f"{st.x_star_s:.6g}"
@@ -272,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dir", required=True)
     sp.add_argument("--l0-alarm", type=float, required=True, dest="l0_alarm")
     sp.add_argument("--scan-alarm", type=float, required=True, dest="scan_alarm")
-    sp.add_argument("--threads", type=int, default=1)
     _add_detector_flags(sp)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_frames)

@@ -5,15 +5,18 @@ otherwise Step II rejects when the capped normalized scan statistic, centered
 at the null conditional mean of a significant node, exceeds its threshold.
 The growing-lattice regime swaps the Step I cut for one based on the
 joint-growth rate constant. Frame mode scores the raw (uncentered) scan
-statistic against empirical cuts.
+statistic against empirical cuts. Frame mode and the Monte Carlo harness
+compute both statistics on stacks of trials through one batched path.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import _kernels
 from .detectability import (
     DEFAULT_DELTA2,
     DEFAULT_EPSILON,
@@ -26,7 +29,7 @@ from .detectability import (
 from .grid import ChainPath, ImageGrid, significance_map
 from .rates import RunRate, estimate_area_rate, resolve_run_rate
 from .runs import longest_run_length
-from .scan import UNREACHABLE, scan_statistic
+from .scan import scan_statistic
 
 __all__ = ["DetectorConfig", "DetectionResult", "FrameStat", "make_config", "detect",
            "detect_frames"]
@@ -200,13 +203,21 @@ def detect(grid: ImageGrid, config: DetectorConfig) -> DetectionResult:
     return DetectionResult(False, "none", run.length, scan.value, thr, None)
 
 
-def _frame_stats(grid: ImageGrid, config: DetectorConfig) -> tuple[int, float]:
-    sig = significance_map(grid, config.x_star)
-    length = longest_run_length(sig, config.C, witness=False).length
-    value = scan_statistic(
-        grid, sig, config.C, _scan_cap(config, grid.m, grid.n), witness=False
-    ).value
-    return length, value
+def _stack_stats(x: np.ndarray, config: DetectorConfig, U: int, center: float = 0.0,
+                 step1: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+    """Longest-run lengths and capped scan values of a (T, m, n) intensity stack.
+
+    A trial whose length already exceeds ``step1`` is decided by Step I and
+    not scanned; its value is NaN, which exceeds no cut.
+    """
+    z = x > config.x_star
+    lengths = _kernels.chain_lengths(z, config.C)
+    scan = lengths <= step1
+    if not scan.all():
+        x, z = x[scan], z[scan]
+    values = np.full(len(lengths), np.nan)
+    values[scan] = _kernels.scan_values(x, z, config.C, U, center)
+    return lengths, values
 
 
 def detect_frames(
@@ -214,33 +225,31 @@ def detect_frames(
     config: DetectorConfig,
     l0_alarm: float,
     scan_alarm: float,
-    threads: int = 1,
 ) -> list[FrameStat]:
     """Per-frame statistics with alarms at fixed cuts.
 
     Frames are independent; an alarm fires when either statistic strictly
     exceeds its cut. The scan statistic is the raw one, so ``scan_alarm``
     belongs on the scale of :func:`chainscan.simulate.calibrate_alarms`, not
-    on that of the asymptotic Step II cut. Order of the output follows the
-    input sequence.
+    on that of the asymptotic Step II cut. Frames are scored in stacked
+    batches of about ``_kernels._BATCH_CELLS`` cells, with the same values
+    as the single-grid statistics; the output follows the input order.
     """
     frames = list(frames)
     if not frames:
         return []
-    shape = (frames[0].m, frames[0].n)
+    m, n = frames[0].m, frames[0].n
     for k, frame in enumerate(frames):
-        if (frame.m, frame.n) != shape:
-            raise ValueError(
-                f"frame {k} is {frame.m}x{frame.n}, expected {shape[0]}x{shape[1]}"
-            )
+        if (frame.m, frame.n) != (m, n):
+            raise ValueError(f"frame {k} is {frame.m}x{frame.n}, expected {m}x{n}")
     _check_geometry(config, frames[0])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stats = list(pool.map(lambda g: _frame_stats(g, config), frames))
-    else:
-        stats = [_frame_stats(g, config) for g in frames]
-    out = []
-    for k, (length, value) in enumerate(stats):
-        alarm = (length > l0_alarm) or (value != UNREACHABLE and value > scan_alarm)
-        out.append(FrameStat(k, length, value, alarm))
-    return out
+    U = _scan_cap(config, m, n)
+    batches, done = [], 0
+    for t in _kernels.trial_batches(len(frames), m, n):
+        stack = np.stack([g.values for g in frames[done : done + t]])
+        batches.append(_stack_stats(stack, config, U))
+        done += t
+    lengths, values = (np.concatenate(part) for part in zip(*batches))
+    alarms = (lengths > l0_alarm) | (values > scan_alarm)
+    return [FrameStat(k, int(length), float(value), bool(alarm))
+            for k, (length, value, alarm) in enumerate(zip(lengths, values, alarms))]

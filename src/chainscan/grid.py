@@ -200,26 +200,26 @@ def _csv_rows_fast(lines: list[str], m: int, n: int) -> np.ndarray | None:
 
 def _csv_rows_checked(path, lines: list[str], m: int, n: int) -> np.ndarray:
     """Parse data lines token by token, raising ParseError at the first fault."""
-    data_lines = [ln for ln in lines if ln.strip()]
+    data_lines = [(no, ln) for no, ln in enumerate(lines, start=2) if ln.strip()]
     if len(data_lines) != m:
         raise ParseError(f"{path}: expected {m} data rows, found {len(data_lines)}")
     values = np.empty((m, n), dtype=np.float64)
-    for r, line in enumerate(data_lines):
+    for r, (line_no, line) in enumerate(data_lines):
         tokens = line.split(",")
         if len(tokens) != n:
             raise ParseError(
-                f"{path}: line {r + 2}: row {r + 1} has {len(tokens)} values, expected {n}"
+                f"{path}: line {line_no}: row {r + 1} has {len(tokens)} values, expected {n}"
             )
         for c, tok in enumerate(tokens):
             try:
                 v = float(tok)
             except ValueError:
                 raise ParseError(
-                    f"{path}: line {r + 2}, column {c + 1}: invalid number {tok.strip()!r}"
+                    f"{path}: line {line_no}, column {c + 1}: invalid number {tok.strip()!r}"
                 ) from None
             if not np.isfinite(v):
                 raise ParseError(
-                    f"{path}: line {r + 2}, column {c + 1}: non-finite value {tok.strip()!r}"
+                    f"{path}: line {line_no}, column {c + 1}: non-finite value {tok.strip()!r}"
                 )
             values[r, c] = v
     return values

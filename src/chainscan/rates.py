@@ -248,17 +248,10 @@ def estimate_run_rate(
     if not (0.0 < p < 1.0):
         raise ValueError(f"need p in (0,1), got {p}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, m, C]))
-    chunk = max(1, min(trials, int(2e7) // (m * n_cols) + 1))
     estimates = []
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
-        bits = _kernels.bernoulli_stack(rng, t, m, n_cols, p)
-        lengths = _kernels.chain_lengths(bits, C)
-        for length in lengths:
-            if length > 0:
-                estimates.append(n_cols ** (-1.0 / float(length)))
-        done += t
+    for t in _kernels.trial_batches(trials, m, n_cols):
+        lengths = _kernels.chain_lengths(_kernels.bernoulli_stack(rng, t, m, n_cols, p), C)
+        estimates.extend(n_cols ** (-1.0 / float(s)) for s in lengths if s > 0)
     if not estimates:
         raise EstimationError("every trial produced an empty net; cannot estimate")
     return RunRate(float(np.mean(estimates)), m, C, p, MC_METHOD)
@@ -314,15 +307,10 @@ def estimate_area_rate(
     rng = np.random.default_rng(np.random.SeedSequence([seed, C]))
     rate = None
     for m, n in sizes:
-        chunk = max(1, min(trials, int(2e7) // (m * n) + 1))
         ratios = []
-        done = 0
-        while done < trials:
-            t = min(chunk, trials - done)
-            bits = _kernels.bernoulli_stack(rng, t, m, n, p)
-            lengths = _kernels.chain_lengths(bits, C)
+        for t in _kernels.trial_batches(trials, m, n):
+            lengths = _kernels.chain_lengths(_kernels.bernoulli_stack(rng, t, m, n, p), C)
             ratios.extend(float(s) / math.log(m * n) for s in lengths)
-            done += t
         mean_ratio = float(np.mean(ratios))
         if mean_ratio <= 0.0:
             raise EstimationError(f"no significant chains at size {m}x{n}")

@@ -1,10 +1,12 @@
 """Monte Carlo harness: error-rate estimation and alarm calibration.
 
-Trials are batched through the vectorized kernels; a rejection is the union
-event "longest run above its cut OR centered scan statistic above its cut",
-which is exactly the two-step detector's rejection region. Alarm calibration
-instead takes empirical quantiles of the raw scan statistic, the scale that
-frame mode scores.
+Trials are drawn in batches of ``_kernels.trial_batches`` and scored by the
+detector's batched statistics path, the one frame mode uses. A rejection is
+the union event "longest run above its cut OR centered scan statistic above
+its cut", which is exactly the two-step detector's rejection region; trials
+that Step I already rejects are not scanned. Alarm calibration instead takes
+empirical quantiles of the raw scan statistic, the scale that frame mode
+scores.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .detectability import (
     DEFAULT_X_STAR,
     null_conditional_mean,
 )
-from .detector import DetectorConfig, _scan_cap, _thresholds_for, make_config
+from .detector import DetectorConfig, _scan_cap, _stack_stats, _thresholds_for, make_config
 from .grid import ChainPath, generate_chain
 
 __all__ = [
@@ -35,8 +37,6 @@ __all__ = [
 ]
 
 _LAW_KINDS = ("linear", "sqrt", "log", "fixed")
-# trial chunking keeps the working set near 2e7 grid cells
-_CHUNK_CELLS = int(2e7)
 
 
 @dataclass(frozen=True)
@@ -114,36 +114,49 @@ def config_for(spec: ExperimentSpec) -> DetectorConfig:
     )
 
 
+def _require_agreement(config: DetectorConfig, want: tuple, source: str) -> None:
+    """Raise, naming both tuples, when the config's leading (m, C, x_star,
+    epsilon, delta2) differ from ``want``."""
+    got = (config.run_rate.m, config.C, config.x_star, config.epsilon, config.delta2)
+    if got[: len(want)] != want:
+        names = ", ".join(("m", "C", "x_star", "epsilon", "delta2")[: len(want)])
+        raise ValueError(f"config disagrees with the {source}: ({names}) = "
+                         f"{got[: len(want)]}, {source} has {want}")
+
+
 def _checked_config(spec: ExperimentSpec, config: DetectorConfig | None) -> DetectorConfig:
     """``config``, or the spec's own when None; a config whose m, C, x_star,
     epsilon or delta2 differ from the spec's is an error."""
     if config is None:
         return config_for(spec)
-    got = (config.run_rate.m, config.C, config.x_star, config.epsilon, config.delta2)
-    want = (spec.m, spec.C, spec.x_star, spec.epsilon, spec.delta2)
-    if got != want:
-        raise ValueError(
-            f"config disagrees with the spec: (m, C, x_star, epsilon, delta2) = {got}, "
-            f"spec has {want}"
-        )
+    _require_agreement(config, (spec.m, spec.C, spec.x_star, spec.epsilon, spec.delta2),
+                       "spec")
     return config
 
 
-def _chunks(trials: int, m: int, n: int):
-    size = max(1, min(trials, _CHUNK_CELLS // (m * n) + 1))
-    done = 0
-    while done < trials:
-        t = min(size, trials - done)
-        yield t
+def _rejection_rate(spec: ExperimentSpec, config: DetectorConfig | None, stream: int,
+                    kind: str, plant=None) -> ErrorEstimate:
+    """Fraction of the spec's noise trials the two-step rule rejects.
+
+    ``plant(x, first)``, when given, adds signal to a batch ``x`` that holds
+    trials first, first + 1, ... before it is scored.
+    """
+    if spec.trials < 50:
+        raise ValueError(f"need trials >= 50 for a rate estimate, got {spec.trials}")
+    config = _checked_config(spec, config)
+    thr = _thresholds_for(config, spec.m, spec.n)
+    cap = _scan_cap(config, spec.m, spec.n)
+    center = null_conditional_mean(config.x_star)
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, stream]))
+    hits = done = 0
+    for t in _kernels.trial_batches(spec.trials, spec.m, spec.n):
+        x = rng.standard_normal((t, spec.m, spec.n))
+        if plant is not None:
+            plant(x, done)
+        lengths, values = _stack_stats(x, config, cap, center, thr.step1)
+        hits += int(((lengths > thr.step1) | (values > thr.step2)).sum())
         done += t
-
-
-def _reject_counts(x: np.ndarray, config: DetectorConfig, step1: float, step2: float,
-                   cap: int, C: int) -> int:
-    z = x > config.x_star
-    lengths = _kernels.chain_lengths(z, C)
-    values = _kernels.scan_values(x, z, C, cap, null_conditional_mean(config.x_star))
-    return int(((lengths > step1) | (values > step2)).sum())
+    return _estimate(hits, spec.trials, kind)
 
 
 def estimate_type1(spec: ExperimentSpec, config: DetectorConfig | None = None) -> ErrorEstimate:
@@ -152,17 +165,7 @@ def estimate_type1(spec: ExperimentSpec, config: DetectorConfig | None = None) -
     ``config`` is the resolved :func:`config_for` of the spec, to share one
     run-rate resolution between estimates; it is resolved here when omitted.
     """
-    if spec.trials < 50:
-        raise ValueError(f"need trials >= 50 for a rate estimate, got {spec.trials}")
-    config = _checked_config(spec, config)
-    thr = _thresholds_for(config, spec.m, spec.n)
-    cap = _scan_cap(config, spec.m, spec.n)
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
-    hits = 0
-    for t in _chunks(spec.trials, spec.m, spec.n):
-        x = rng.standard_normal((t, spec.m, spec.n))
-        hits += _reject_counts(x, config, thr.step1, thr.step2, cap, spec.C)
-    return _estimate(hits, spec.trials, "type1")
+    return _rejection_rate(spec, config, 1, "type1")
 
 
 def estimate_power(
@@ -178,32 +181,20 @@ def estimate_power(
     ``mu = 0`` degenerates to the null and is allowed for cross-checks.
     ``config`` is as in :func:`estimate_type1`.
     """
-    if spec.trials < 50:
-        raise ValueError(f"need trials >= 50 for a rate estimate, got {spec.trials}")
     length = spec.length_law.realize(spec.n)
     if fixed_chain is not None:
         fixed_chain.validate(spec.m, spec.n, spec.C)
-    config = _checked_config(spec, config)
-    thr = _thresholds_for(config, spec.m, spec.n)
-    cap = _scan_cap(config, spec.m, spec.n)
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 2]))
-    hits = 0
-    trial_index = 0
-    for t in _chunks(spec.trials, spec.m, spec.n):
-        x = rng.standard_normal((t, spec.m, spec.n))
-        for k in range(t):
+
+    def plant(x: np.ndarray, first: int) -> None:
+        for k in range(len(x)):
             chain = fixed_chain
             if chain is None:
-                chain = generate_chain(
-                    spec.m, spec.n, spec.C, length,
-                    seed=np.random.SeedSequence([spec.seed, 3, trial_index]),
-                )
+                chain = generate_chain(spec.m, spec.n, spec.C, length,
+                                       seed=np.random.SeedSequence([spec.seed, 3, first + k]))
             rows = np.asarray(chain.rows) - 1
-            cols = np.arange(chain.start_col - 1, chain.end_col)
-            x[k, rows, cols] += spec.mu
-            trial_index += 1
-        hits += _reject_counts(x, config, thr.step1, thr.step2, cap, spec.C)
-    return _estimate(hits, spec.trials, "power")
+            x[k, rows, np.arange(chain.start_col - 1, chain.end_col)] += spec.mu
+
+    return _rejection_rate(spec, config, 2, "power", plant)
 
 
 def calibrate_alarms(
@@ -220,10 +211,12 @@ def calibrate_alarms(
 
     Each statistic gets its empirical (1 - alpha/2)-quantile over null
     frames, so the two-sided union alarm has level <= alpha up to Monte
-    Carlo error. The scan cut is on the raw (uncentered) scale that
-    :func:`chainscan.detector.detect_frames` scores. Pass the detector
-    ``config`` that will score the frames so calibration and deployment
-    share the same scan cap.
+    Carlo error. The null frames are scored in batches by the same path as
+    :func:`chainscan.detector.detect_frames`, so the scan cut is on the raw
+    (uncentered) scale that frame mode scores. Pass the detector ``config``
+    that will score the frames so calibration and deployment share the same
+    scan cap; a config whose m, C or x_star differ from the arguments is an
+    error.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0,1], got {alpha}")
@@ -232,16 +225,11 @@ def calibrate_alarms(
         raise ValueError(f"need at least {needed} trials for alpha={alpha:g}, got {trials}")
     if config is None:
         config = make_config(m, C, x_star, seed=seed)
+    _require_agreement(config, (m, C, x_star), "call")
     cap = _scan_cap(config, m, n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
-    lengths = []
-    values = []
-    for t in _chunks(trials, m, n):
-        x = rng.standard_normal((t, m, n))
-        z = x > x_star
-        lengths.append(_kernels.chain_lengths(z, C))
-        values.append(_kernels.scan_values(x, z, C, cap))
-    lengths = np.concatenate(lengths)
-    values = np.concatenate(values)
+    batches = [_stack_stats(rng.standard_normal((t, m, n)), config, cap)
+               for t in _kernels.trial_batches(trials, m, n)]
+    lengths, values = (np.concatenate(part) for part in zip(*batches))
     q = 1.0 - alpha / 2.0
     return float(np.quantile(lengths, q)), float(np.quantile(values, q))

@@ -207,6 +207,13 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert "--threads" in err
 
+    def test_frames_threads_flag_removed(self, tmp_path):
+        write_csv_grid(generate_null_grid(10, 50, seed=0), tmp_path / "f0.csv")
+        code, out, err = run_cli("frames", "--dir", str(tmp_path), "--l0-alarm", "69",
+                                 "--scan-alarm", "7.7", "--threads", "2")
+        assert code == 2 and out == ""
+        assert "--threads" in err
+
     def test_reproducible_output(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"m": 6, "n": 150, "trials": 50, "seed": 5}))

@@ -9,8 +9,10 @@ from chainscan import (
     embed_chain,
     generate_chain,
     generate_null_grid,
+    longest_run_length,
     make_config,
     null_conditional_mean,
+    scan_statistic,
     significance_map,
 )
 from chainscan import _kernels
@@ -183,8 +185,22 @@ class TestFrames:
             assert len(alarmed & set(burst)) >= 5, (rep, sorted(alarmed))
             assert not (alarmed - set(burst)), (rep, sorted(alarmed))
 
-    def test_threaded_matches_serial(self, config10):
-        frames = [generate_null_grid(10, 100, seed=s) for s in range(8)]
-        serial = detect_frames(frames, config10, 6, 5.0, threads=1)
-        threaded = detect_frames(frames, config10, 6, 5.0, threads=4)
-        assert serial == threaded
+    @pytest.mark.parametrize("batch_cells", [None, 3000, 1])
+    @pytest.mark.parametrize("count", [1, 8])
+    def test_batched_matches_single_grid_statistics(self, config10, monkeypatch,
+                                                    batch_cells, count):
+        # 3000 cells hold 3 frames of 10 x 100, so 8 frames end in a partial batch
+        if batch_cells is not None:
+            monkeypatch.setattr(_kernels, "_BATCH_CELLS", batch_cells)
+        frames = [generate_null_grid(10, 100, seed=s) for s in range(count - 1)]
+        frames.insert(count // 2, ImageGrid(np.zeros((10, 100))))  # nothing significant
+        stats = detect_frames(frames, config10, 6, 5.0)
+        cap = _scan_cap(config10, 10, 100)
+        for k, (frame, st) in enumerate(zip(frames, stats)):
+            sig = significance_map(frame, config10.x_star)
+            length = longest_run_length(sig, config10.C, witness=False).length
+            value = scan_statistic(frame, sig, config10.C, cap, witness=False).value
+            assert (st.index, st.l0_length, st.x_star_s) == (k, length, value)
+            assert st.alarm == (length > 6 or value > 5.0)
+        assert len(stats) == count
+        assert stats[count // 2].x_star_s == UNREACHABLE

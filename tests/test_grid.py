@@ -115,6 +115,10 @@ class TestCsvParsers:
         ("overflow", b"1,1\n1e400\n", False, r"line 2, column 1: non-finite value '1e400'"),
         ("hex", b"1,1\n0x10\n", False, r"line 2, column 1: invalid number '0x10'"),
         ("ragged row", b"2,2\n1,2\n3\n", False, r"line 3: row 2 has 1 values, expected 2"),
+        ("bad value after blank lines", b"2,2\n\n\n1,2\n3,x\n", False,
+         r"line 5, column 2: invalid number 'x'"),
+        ("ragged row after a blank line", b"2,2\n1,2\n\n3\n", False,
+         r"line 4: row 2 has 1 values, expected 2"),
         ("too few rows", b"3,2\n1,2\n3,4\n", False, r"expected 3 data rows, found 2"),
         ("header only", b"2,2\n\n", False, r"expected 2 data rows, found 0"),
     ]

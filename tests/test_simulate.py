@@ -5,9 +5,11 @@ import pytest
 
 from chainscan import (
     ExperimentSpec,
+    ImageGrid,
     LengthLaw,
     calibrate_alarms,
     config_for,
+    detect,
     detect_frames,
     embed_chain,
     estimate_power,
@@ -124,6 +126,38 @@ class TestSharedConfig:
         assert len(calls) == 1
 
 
+class TestOneRule:
+    """The Monte Carlo estimators reject exactly the trials that ``detect`` rejects."""
+
+    SPEC = ExperimentSpec(m=6, n=200, mu=3.0, epsilon=1.0, trials=60, seed=5,
+                          length_law=LengthLaw("fixed", 4))
+
+    def _decisions(self, config, power):
+        spec = self.SPEC
+        stream = 2 if power else 1
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, stream]))
+        x = rng.standard_normal((spec.trials, spec.m, spec.n))
+        if power:
+            length = spec.length_law.realize(spec.n)
+            for k in range(spec.trials):
+                chain = generate_chain(spec.m, spec.n, spec.C, length,
+                                       seed=np.random.SeedSequence([spec.seed, 3, k]))
+                rows = np.asarray(chain.rows) - 1
+                x[k, rows, np.arange(chain.start_col - 1, chain.end_col)] += spec.mu
+        return [detect(ImageGrid(values), config).deciding_stage for values in x]
+
+    @pytest.mark.parametrize("batch_cells", [None, 1])
+    def test_rates_count_detect_rejections(self, monkeypatch, batch_cells):
+        if batch_cells is not None:  # one trial per batch
+            monkeypatch.setattr(_kernels, "_BATCH_CELLS", batch_cells)
+        config = config_for(self.SPEC)
+        for estimate, power in ((estimate_type1, False), (estimate_power, True)):
+            decided = self._decisions(config, power)
+            hits = sum(stage != "none" for stage in decided)
+            assert estimate(self.SPEC, config=config).rate == hits / self.SPEC.trials
+        assert set(decided) == {"step1", "step2", "none"}  # the power stack tests both stages
+
+
 class TestEmbeddedSubRunLaw:
     def test_longest_sub_run_tracks_single_row_law(self):
         # within a planted chain the significance sequence is an i.i.d. coin
@@ -180,6 +214,14 @@ class TestCalibration:
         stats = detect_frames(frames, cfg, *cuts)
         rate = sum(s.alarm for s in stats) / len(stats)
         assert rate >= 0.4, rate
+
+    @pytest.mark.parametrize("change", [dict(m=11), dict(C=2), dict(x_star=1.5)])
+    def test_disagreeing_config_rejected(self, change):
+        args = dict(m=10, C=1, x_star=make_config(10).x_star)
+        config = make_config(**{**args, **change})
+        with pytest.raises(ValueError, match=r"disagrees with the call: \(m, C, x_star\)"):
+            calibrate_alarms(args["m"], 100, args["C"], args["x_star"], alpha=0.05,
+                             trials=1000, seed=0, config=config)
 
     def test_insufficient_trials_rejected(self):
         with pytest.raises(ValueError, match="1000"):
