@@ -2,6 +2,12 @@
 
 All kernels take raw ndarrays. Batched variants operate on stacks shaped
 (trials, m, n) so Monte Carlo loops stay inside numpy.
+
+The run stage iterates reachability layers and hands runs deeper than
+``_PROP_CAP`` layers to a column sweep; both report the same endpoint, the
+row-major first cell that ends a longest chain. One backtrack rebuilds the
+witness of either stage (the run stage's with all-zero intensities), so a
+run witness follows one tie rule at any depth.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import numpy as np
 NEG_INF = float("-inf")
 
 # Iteration cap for the layer-propagation longest-run engine; beyond it the
-# per-column rolling DP takes over (cheaper when runs are very long).
+# column sweep takes over (cheaper when runs are very long).
 _PROP_CAP = 512
 
 # Grid cells per trial batch: 1 MB per float64 array, so a batch stays in cache.
@@ -63,150 +69,79 @@ def _scan_step(x: np.ndarray, z: np.ndarray, layer: np.ndarray, C: int) -> np.nd
     return nxt
 
 
-def _rolling_lengths(bits: np.ndarray, C: int) -> np.ndarray:
-    """Per-column DP over (T, m, n) bits; O(C*m*n) per trial, O(T*m) memory."""
+def _sweep_ends(bits: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column sweep over (T, m, n) bits, O(C*m*n) per trial and O(T*m) memory,
+    with the same (lengths, ends) as :func:`_chain_ends`: each row keeps its
+    best length and the first column that reaches it."""
     T, m, n = bits.shape
-    y = bits[:, :, 0].astype(np.int64)
-    best = y.max(axis=1)
+    cols = bits.transpose(2, 1, 0)  # (n, m, T): rows on axis -2 for the dilation
+    y = cols[0].astype(np.int64)
+    best = y.copy()
+    first = np.zeros((m, T), dtype=np.int64)
     for j in range(1, n):
-        w = y.copy()
-        for d in range(1, C + 1):
-            np.maximum(w[:, :-d], y[:, d:], out=w[:, :-d])
-            np.maximum(w[:, d:], y[:, :-d], out=w[:, d:])
-        y = (1 + w) * bits[:, :, j]
-        np.maximum(best, y.max(axis=1), out=best)
-    return best
+        y = (1 + dilate_rows_max(y, C)) * cols[j]
+        first[y > best] = j
+        np.maximum(best, y, out=best)
+    lengths = best.max(axis=0)
+    rows = (best == lengths).argmax(axis=0)
+    return lengths, rows * n + first[rows, np.arange(T)]
+
+
+def _chain_ends(bits: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
+    """Longest chain length per trial of a (T, m, n) boolean stack, and the
+    flat index of the row-major first cell that ends such a chain (0 when no
+    bit is set).
+
+    Iterates reachability layers (cost proportional to the answer); trials
+    whose runs reach the iteration cap finish in the column sweep.
+    """
+    T, m, n = bits.shape
+    lengths = np.zeros(T, dtype=np.int64)
+    ends = np.zeros(T, dtype=np.int64)
+    cur = bits
+    alive = cur.any(axis=(1, 2))
+    k = 0
+    while alive.any():
+        k += 1
+        lengths[alive] = k
+        if _PROP_CAP <= k < n:
+            idx = np.flatnonzero(alive)
+            lengths[idx], ends[idx] = _sweep_ends(bits[idx], C)
+            break
+        nxt = _chain_step(bits, cur, C)
+        still = nxt.any(axis=(1, 2))
+        done = alive & ~still  # cur is their last nonempty layer
+        if done.any():
+            ends[done] = cur[done].reshape(-1, m * n).argmax(axis=1)
+        cur, alive = nxt, still
+    return lengths, ends
 
 
 def chain_lengths(bits: np.ndarray, C: int) -> np.ndarray:
-    """Longest significant chain length per trial for a (T, m, n) boolean stack.
-
-    Iterates reachability layers (cost proportional to the answer), falling
-    back to the rolling DP for trials whose runs exceed the iteration cap.
-    """
+    """Longest significant chain length per trial for a (T, m, n) boolean stack
+    (a 2-D map counts as one trial)."""
     bits = np.asarray(bits, dtype=bool)
     if bits.ndim == 2:
         bits = bits[None]
-    T, m, n = bits.shape
-    lengths = np.zeros(T, dtype=np.int64)
-    cur = bits
-    k = 0
-    while True:
-        alive = cur.any(axis=(1, 2))
-        if not alive.any():
-            return lengths
-        k += 1
-        lengths[alive] = k
-        if k >= n:
-            return lengths
-        if k >= _PROP_CAP:
-            idx = np.flatnonzero(alive)
-            lengths[idx] = _rolling_lengths(bits[idx], C)
-            return lengths
-        cur = _chain_step(bits, cur, C)
-
-
-def chain_length_single(bits2d: np.ndarray, C: int) -> int:
-    return int(chain_lengths(bits2d[None], C)[0])
-
-
-def _endpoint_by_propagation(bits: np.ndarray, C: int):
-    """(length, end_row, end_col) of a longest chain, or None past the cap."""
-    n = bits.shape[1]
-    cur = bits
-    k = 0
-    last = None
-    while cur.any():
-        k += 1
-        last = cur
-        if k >= n:
-            break
-        if k >= _PROP_CAP:
-            return None  # too deep for layer propagation; caller falls back
-        cur = _chain_step(bits, cur, C)
-    if k == 0:
-        return 0, None, None
-    flat = int(np.argmax(last))
-    return k, flat // n, flat % n
-
-
-def _witness_rows_by_slab(bits: np.ndarray, C: int, k: int, i: int, j: int) -> list[int]:
-    """Rows of a length-k chain ending at (i, j): recompute layers on the
-    k-column slab the chain must occupy, then walk back (smallest row on ties)."""
-    m = bits.shape[0]
-    lo = j - k + 1
-    slab = bits[:, lo : j + 1]
-    layers = [slab]
-    for _ in range(k - 1):
-        layers.append(_chain_step(slab, layers[-1], C))
-    rows = [i]
-    r, c = i, k - 1
-    for v in range(k - 1, 0, -1):
-        for pr in range(max(0, r - C), min(m - 1, r + C) + 1):
-            if layers[v - 1][pr, c - 1]:
-                r = pr
-                break
-        else:  # pragma: no cover - forward layers guarantee a predecessor
-            raise AssertionError("witness backtrack lost the chain")
-        c -= 1
-        rows.append(r)
-    rows.reverse()
-    return rows
+    return _chain_ends(bits, C)[0]
 
 
 def longest_chain_with_witness(bits2d: np.ndarray, C: int) -> tuple[int, int | None, list[int]]:
-    """Longest chain plus one witness, ties broken toward the smallest row.
+    """Longest chain plus one witness: the chain ends at the row-major first
+    cell that ends a longest chain, and each earlier node takes the smallest
+    row, at any depth.
 
     Returns (length, start_col_0based, rows_0based); rows is empty when no
-    bit is set. Layer propagation finds the endpoint, a slab replay extracts
-    the chain; runs too deep to replay fall back to the pointer DP below.
+    bit is set.
     """
     bits = np.asarray(bits2d, dtype=bool)
-    m = bits.shape[0]
-    found = _endpoint_by_propagation(bits, C)
-    if found is not None:
-        k, i, j = found
-        if k == 0:
-            return 0, None, []
-        if k * k * m <= 4e8:
-            return k, j - k + 1, _witness_rows_by_slab(bits, C, k, i, j)
-    return _witness_pointer_dp(bits, C)
-
-
-def _witness_pointer_dp(bits: np.ndarray, C: int) -> tuple[int, int | None, list[int]]:
-    """Per-column DP with backpointers; O(C*m*n) time, O(m*n) memory."""
-    m, n = bits.shape
-    back = np.zeros((m, n), dtype=np.int8)
-    y = bits[:, 0].astype(np.int32)
-    best_len, best_i, best_j = int(y.max()), int(np.argmax(y)), 0
-    rows_idx = np.arange(m)
-    for j in range(1, n):
-        w = np.full(m, -1, dtype=np.int32)
-        arg = np.zeros(m, dtype=np.int8)
-        # ascending predecessor row with strict '>' keeps the smallest row on ties
-        for d in range(-C, C + 1):
-            pred = rows_idx + d
-            ok = (pred >= 0) & (pred < m)
-            cand = np.full(m, -1, dtype=np.int32)
-            cand[ok] = y[pred[ok]]
-            upd = cand > w
-            w[upd] = cand[upd]
-            arg[upd] = d
-        y = np.where(bits[:, j], 1 + w, 0).astype(np.int32)
-        back[:, j] = arg
-        col_best = int(y.max())
-        if col_best > best_len:
-            best_len, best_i, best_j = col_best, int(np.argmax(y)), j
-    if best_len == 0:
+    lengths, ends = _chain_ends(bits[None], C)
+    k = int(lengths[0])
+    if k == 0:
         return 0, None, []
-    rows = [best_i]
-    i, j = best_i, best_j
-    for _ in range(best_len - 1):
-        i = i + int(back[i, j])
-        j -= 1
-        rows.append(i)
-    rows.reverse()
-    return best_len, best_j - best_len + 1, rows
+    i, j = divmod(int(ends[0]), bits.shape[1])
+    # all-zero intensities: a finite chain sum means the node is reachable
+    return k, j - k + 1, backtrack(np.broadcast_to(0.0, bits.shape), bits, C, i, j, k)
 
 
 def scan_values(x: np.ndarray, z: np.ndarray, C: int, U: int,
@@ -262,30 +197,33 @@ def scan_best_single(x2d: np.ndarray, z2d: np.ndarray, C: int, U: int,
     return best, arg[0], arg[1], arg[2]
 
 
-def scan_backtrack(x2d: np.ndarray, z2d: np.ndarray, C: int, i: int, j: int, u: int) -> list[int]:
-    """Rows (0-based) of a chain of length u ending at (i, j) achieving the
-    layer-u sum; recomputes the DP on the u-column slab containing the chain."""
+def backtrack(x2d: np.ndarray, z2d: np.ndarray, C: int, i: int, j: int, u: int) -> list[int]:
+    """Rows (0-based) of a chain of u nodes ending at (i, j) with the best sum.
+
+    Sweeps the chain's u columns forward, one m-vector per column, with the
+    sums of :func:`_scan_step`, then walks back to the smallest row whose sum
+    matches bit for bit.
+    """
     x = np.asarray(x2d, dtype=np.float64)
     z = np.asarray(z2d, dtype=bool)
-    lo = j - u + 1
-    xs, zs = x[:, lo : j + 1], z[:, lo : j + 1]
-    layers = [np.where(zs, xs, NEG_INF)]
-    for _ in range(2, u + 1):
-        layers.append(_scan_step(xs, zs, layers[-1], C))
     m = x.shape[0]
+    lo = j - u + 1
+    xs, zs = x[:, lo : j + 1].T, z[:, lo : j + 1].T
+    sums = np.full((u, m), NEG_INF)
+    sums[0] = np.where(zs[0], xs[0], NEG_INF)
+    for c in range(1, u):
+        prev = dilate_rows_max(sums[c - 1 : c].T, C)[:, 0]
+        np.add(xs[c], prev, out=sums[c], where=zs[c] & (prev > NEG_INF))
     rows = [i]
-    r, c = i, u - 1
-    for v in range(u, 1, -1):
-        target = layers[v - 1][r, c]
-        prev_rows = [r + d for d in range(-C, C + 1) if 0 <= r + d < m]
-        for pr in prev_rows:
+    r = i
+    for c in range(u - 1, 0, -1):
+        for pr in range(max(0, r - C), min(m, r + C + 1)):
             # recompute the forward addition so the comparison is bit-exact
-            if xs[r, c] + layers[v - 2][pr, c - 1] == target:
-                r = pr
+            if xs[c, r] + sums[c - 1, pr] == sums[c, r]:
                 break
-        else:  # pragma: no cover - forward pass guarantees a predecessor
-            raise AssertionError("scan backtrack lost the chain")
-        c -= 1
+        else:  # pragma: no cover - the forward sweep guarantees a predecessor
+            raise AssertionError("backtrack lost the chain")
+        r = pr
         rows.append(r)
     rows.reverse()
     return rows

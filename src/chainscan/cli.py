@@ -22,11 +22,9 @@ from .detectability import (
 from .detector import detect, detect_frames, make_config
 from .errors import ParseError
 from .grid import load_csv_grid, load_pgm_grid
-from .rates import estimate_run_rate, resolve_run_rate
+from .rates import MAX_EXACT_ROWS, estimate_run_rate, resolve_run_rate
 from .scan import UNREACHABLE
 from .simulate import ExperimentSpec, LengthLaw, config_for, estimate_power, estimate_type1
-
-_MC_ROW_LIMIT = 20
 
 POWER_ZETAS = (("1/10", 0.1), ("1/5", 0.2), ("1/4", 0.25), ("1/3", 1 / 3),
                ("1/2", 0.5), ("1", 1.0))
@@ -108,7 +106,7 @@ def _cmd_mu_table(args) -> int:
     return 0
 
 
-def _load_grid(path: str):
+def _load_grid(path: str | Path):
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"input file not found: {path}")
@@ -118,7 +116,7 @@ def _load_grid(path: str):
 
 
 def _build_config(args, m: int):
-    needs_seed = m > _MC_ROW_LIMIT or args.regime == "growing-m"
+    needs_seed = m > MAX_EXACT_ROWS or args.regime == "growing-m"
     if needs_seed and args.seed is None:
         raise ValueError(
             "--seed is required when the run rate or area rate must be estimated "
@@ -168,8 +166,7 @@ def _cmd_frames(args) -> int:
     )
     if not paths:
         raise ValueError(f"no .csv or .pgm frames in {args.dir}")
-    frames = [load_pgm_grid(p) if p.suffix.lower() == ".pgm" else load_csv_grid(p)
-              for p in paths]
+    frames = [_load_grid(p) for p in paths]
     config = _build_config(args, frames[0].m)
     stats = detect_frames(frames, config, args.l0_alarm, args.scan_alarm)
     lines = ["frame,l0,xs,alarm"]

@@ -33,7 +33,7 @@ __all__ = [
 EXACT_METHOD = "exact-spectral"
 MC_METHOD = "monte-carlo"
 
-_MAX_EXACT_ROWS = 20
+MAX_EXACT_ROWS = 20
 _MAX_DENSE_ROWS = 12
 _MAX_POWER_ITER = 10**6
 
@@ -189,9 +189,9 @@ def build_transfer_operator(m: int, C: int, p: float) -> TransferOperator:
     """Construct the operator; guarded to m <= 20 (state space 2^m - 1)."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if m > _MAX_EXACT_ROWS:
+    if m > MAX_EXACT_ROWS:
         raise CapacityError(
-            f"exact operator guarded to m <= {_MAX_EXACT_ROWS}; "
+            f"exact operator guarded to m <= {MAX_EXACT_ROWS}; "
             f"use the monte-carlo estimator for m = {m}"
         )
     if C < 1:
@@ -270,7 +270,7 @@ def resolve_run_rate(
     """Exact spectral rate when the state space allows it, Monte Carlo otherwise."""
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "exact" or (method == "auto" and m <= _MAX_EXACT_ROWS):
+    if method == "exact" or (method == "auto" and m <= MAX_EXACT_ROWS):
         return perron_root(build_transfer_operator(m, C, p), tol=tol)
     return estimate_run_rate(m, C, p, n_cols=n_cols, trials=trials, seed=seed)
 

@@ -30,15 +30,18 @@ class RunResult:
 def longest_run_length(sig_map: SignificanceMap, C: int, witness: bool = True) -> RunResult:
     """Exact longest significant chain length under drift bound C.
 
-    With ``witness=True`` a maximal chain is reconstructed by backtracking
-    (ties toward the smallest row). ``witness=False`` skips reconstruction
-    and uses a layer-propagation engine whose cost scales with the answer
-    rather than with the cap, which is much faster on large sparse maps.
+    With ``witness=True`` a maximal chain is reconstructed by backtracking:
+    it ends at the row-major first cell (smallest row, then smallest column)
+    that ends a longest chain, and each earlier node takes the smallest row
+    that keeps the chain, whatever the depth of the run. ``witness=False``
+    skips the backtrack. Either way the length comes from layer propagation,
+    whose cost scales with the answer (fast on large sparse maps); runs past
+    512 layers finish in a column sweep.
     """
     if C < 0:
         raise ValueError(f"drift bound C must be >= 0, got {C}")
     if not witness:
-        return RunResult(_kernels.chain_length_single(sig_map.bits, C), None)
+        return RunResult(int(_kernels.chain_lengths(sig_map.bits, C)[0]), None)
     length, start0, rows0 = _kernels.longest_chain_with_witness(sig_map.bits, C)
     if length == 0:
         return RunResult(0, None)

@@ -71,7 +71,7 @@ def scan_statistic(
         return ScanResult(UNREACHABLE, None, None)
     if not witness:
         return ScanResult(value, None, u)
-    rows0 = _kernels.scan_backtrack(grid.values, sig_map.bits, C, i0, j0, u)
+    rows0 = _kernels.backtrack(grid.values, sig_map.bits, C, i0, j0, u)
     chain = ChainPath(j0 - u + 2, tuple(r + 1 for r in rows0))
     return ScanResult(value, chain, u)
 

@@ -138,6 +138,13 @@ class TestDetectCommand:
         code, _, err = run_cli("detect", "--input", "x.csv", "--bogus", "1")
         assert code == 2
 
+    def test_rows_past_exact_rate_need_seed(self, tmp_path):
+        path = tmp_path / "g.csv"
+        write_csv_grid(generate_null_grid(21, 30, seed=2), path)
+        code, out, err = run_cli("detect", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "--seed" in err
+
 
 class TestFramesCommand:
     def test_csv_output(self, tmp_path):

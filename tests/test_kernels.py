@@ -1,8 +1,9 @@
-"""Fallback paths of the vectorized engines."""
+"""Deep-run paths of the vectorized engines."""
 
 import numpy as np
 
-from chainscan import _kernels
+from chainscan import SignificanceMap, _kernels, longest_run_length
+from conftest import check_chain
 
 
 class TestDeepRunFallbacks:
@@ -15,17 +16,24 @@ class TestDeepRunFallbacks:
         expected = _kernels.chain_lengths(bits, C=1)
         assert np.array_equal(lengths, expected)
 
-    def test_rolling_dp_matches_propagation(self, rng):
+    def test_sweep_matches_propagation(self, rng, monkeypatch):
+        # caps 1-3 send most trials through the column sweep: lengths and
+        # witnesses must not depend on which engine found them
         for _ in range(50):
+            T = int(rng.integers(1, 4))
             m = int(rng.integers(1, 5))
             n = int(rng.integers(1, 30))
-            bits = rng.random((3, m, n)) < rng.uniform(0.2, 0.9)
-            assert np.array_equal(
-                _kernels._rolling_lengths(bits, 1),
-                _kernels.chain_lengths(bits, 1),
-            )
+            C = int(rng.integers(0, 3))
+            bits = rng.random((T, m, n)) < rng.uniform(0.2, 0.9)
+            lengths = _kernels.chain_lengths(bits, C)
+            witnesses = [_kernels.longest_chain_with_witness(b, C) for b in bits]
+            for cap in (1, 2, 3):
+                monkeypatch.setattr(_kernels, "_PROP_CAP", cap)
+                assert np.array_equal(_kernels.chain_lengths(bits, C), lengths)
+                assert [_kernels.longest_chain_with_witness(b, C) for b in bits] == witnesses
+            monkeypatch.setattr(_kernels, "_PROP_CAP", 512)
 
-    def test_witness_pointer_dp_past_cap(self, monkeypatch):
+    def test_witness_past_cap(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_PROP_CAP", 4)
         bits = np.ones((2, 20), dtype=bool)
         k, start, rows = _kernels.longest_chain_with_witness(bits, C=1)
@@ -37,6 +45,12 @@ class TestDeepRunFallbacks:
         k, start, rows = _kernels.longest_chain_with_witness(bits, C=1)
         assert (k, start) == (700, 0)
 
+    def test_deep_witness_on_tall_map(self):
+        sm = SignificanceMap(np.ones((64, 2600), dtype=bool))
+        res = longest_run_length(sm, C=1)
+        assert res.length == 2600
+        assert check_chain(res.witness, sm, 1) == 2600
+
 
 class TestScanEarlyExit:
     def test_cap_beyond_longest_chain_is_harmless(self, rng):
@@ -44,7 +58,7 @@ class TestScanEarlyExit:
         z = x > 0.8
         tight = _kernels.scan_values(x, z, 1, U=4)
         loose = _kernels.scan_values(x, z, 1, U=12)
-        n_longest = _kernels.chain_length_single(z, 1)
+        n_longest = _kernels.chain_lengths(z, 1)[0]
         if n_longest <= 4:
             assert np.array_equal(tight, loose)
         else:

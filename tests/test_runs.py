@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from chainscan import (
     CapacityError,
+    ChainPath,
     SignificanceMap,
+    _kernels,
     longest_run_bruteforce,
     longest_run_length,
 )
@@ -52,6 +54,17 @@ class TestLongestRun:
         sm = _map_from_pattern(3, 5, PATTERN_NODES)
         res = longest_run_length(sm, C=1, witness=False)
         assert res.length == 5 and res.witness is None
+
+    @pytest.mark.parametrize("cap", [1, 4, 512])
+    def test_tie_witness_independent_of_engine(self, cap, monkeypatch):
+        # two disjoint 5-runs: the witness ends at the row-major first endpoint
+        # whether layer propagation or the column sweep finds it
+        monkeypatch.setattr(_kernels, "_PROP_CAP", cap)
+        bits = np.zeros((4, 14), dtype=bool)
+        bits[0, 8:13] = True
+        bits[3, 2:7] = True
+        res = longest_run_length(SignificanceMap(bits), C=0)
+        assert res.witness == ChainPath(9, (1, 1, 1, 1, 1))
 
     def test_negative_drift_rejected(self):
         sm = SignificanceMap(np.ones((2, 2), dtype=bool))

@@ -177,7 +177,7 @@ class TestEmbeddedSubRunLaw:
             rows = np.asarray(chain.rows) - 1
             cols = np.arange(chain.start_col - 1, chain.end_col)
             node_bits = grid.values[rows, cols] > x_star
-            run = _kernels.chain_length_single(node_bits[None, :], C=0)
+            run = _kernels.chain_lengths(node_bits[None, :], C=0)[0]
             ratios.append(run / target)
         mean_ratio = float(np.mean(ratios))
         assert 0.85 <= mean_ratio <= 1.15, mean_ratio
@@ -191,7 +191,7 @@ class TestCalibration:
         lengths = []
         for seed in range(200):
             sig = significance_map(generate_null_grid(10, 200, seed=seed), cfg.x_star)
-            lengths.append(_kernels.chain_length_single(sig.bits, 1))
+            lengths.append(_kernels.chain_lengths(sig.bits, 1)[0])
         assert l0_cut >= float(np.median(lengths))
         assert scan_cut > 0
 
