@@ -1,13 +1,15 @@
 """Vectorized engines shared by the run/scan statistics and the simulators.
 
-All kernels take raw ndarrays. Batched variants operate on stacks shaped
-(trials, m, n) so Monte Carlo loops stay inside numpy.
+All kernels take raw ndarrays and work on stacks shaped (trials, m, n), so
+Monte Carlo loops stay inside numpy.
 
-The run stage iterates reachability layers and hands runs deeper than
-``_PROP_CAP`` layers to a column sweep; both report the same endpoint, the
-row-major first cell that ends a longest chain. One backtrack rebuilds the
-witness of either stage (the run stage's with all-zero intensities), so a
-run witness follows one tie rule at any depth.
+Each stage has one layer loop that returns per-trial values and ends:
+``_chain_ends`` for the run stage and ``_scan_ends`` for the scan stage. A
+single-grid call is a T=1 view of its stage's loop. The run stage hands runs
+deeper than ``_PROP_CAP`` layers to a column sweep that reports the same
+endpoint, the row-major first cell that ends a longest chain. One backtrack
+rebuilds the witness of either stage (the run stage's with all-zero
+intensities), so a run witness follows one tie rule at any depth.
 """
 
 from __future__ import annotations
@@ -33,17 +35,8 @@ def trial_batches(trials: int, m: int, n: int):
         yield min(size, trials - start)
 
 
-def dilate_rows_or(cur: np.ndarray, C: int) -> np.ndarray:
-    """OR over the +/-C row window, rows on axis -2."""
-    out = cur.copy()
-    for d in range(1, C + 1):
-        out[..., :-d, :] |= cur[..., d:, :]
-        out[..., d:, :] |= cur[..., :-d, :]
-    return out
-
-
 def dilate_rows_max(cur: np.ndarray, C: int) -> np.ndarray:
-    """Max over the +/-C row window, rows on axis -2."""
+    """Max over the +/-C row window, rows on axis -2 (OR on booleans)."""
     out = cur.copy()
     for d in range(1, C + 1):
         np.maximum(out[..., :-d, :], cur[..., d:, :], out=out[..., :-d, :])
@@ -55,7 +48,7 @@ def _chain_step(bits: np.ndarray, cur: np.ndarray, C: int) -> np.ndarray:
     """Next reachability layer on (..., m, n): the set cells of ``bits`` one
     column right of, and within C rows of, a cell of ``cur``."""
     nxt = np.zeros_like(cur)
-    nxt[..., 1:] = bits[..., 1:] & dilate_rows_or(cur, C)[..., :-1]
+    nxt[..., 1:] = bits[..., 1:] & dilate_rows_max(cur, C)[..., :-1]
     return nxt
 
 
@@ -144,57 +137,60 @@ def longest_chain_with_witness(bits2d: np.ndarray, C: int) -> tuple[int, int | N
     return k, j - k + 1, backtrack(np.broadcast_to(0.0, bits.shape), bits, C, i, j, k)
 
 
-def scan_values(x: np.ndarray, z: np.ndarray, C: int, U: int,
-                center: float = 0.0) -> np.ndarray:
-    """Capped normalized scan statistic per trial on (T, m, n) stacks.
+def _scan_ends(x: np.ndarray, z: np.ndarray, C: int, U: int,
+               center: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Capped scan maximum per trial of (T, m, n) stacks, the flat index of the
+    cell that ends the best chain, and that chain's length.
 
     Layers indexed by chain length u: layer u holds the best significant-chain
     sum of length u ending at each node, NEG_INF where unreachable. Stops as
     soon as a layer is entirely unreachable (longer chains cannot exist).
-    Each layer scores (best_u - center*u)/sqrt(u); ``center = 0`` gives the
-    raw statistic.
+    Each layer scores (best_u - center*u)/sqrt(u). A trial's end and length
+    change only when its score strictly improves, so ties go to the smallest
+    u, then to row-major node order.
     """
+    T, m, n = x.shape
+    trials = np.arange(T)
+    layer = np.where(z, x, NEG_INF)
+    ends = layer.reshape(T, m * n).argmax(axis=1)
+    values = layer.reshape(T, m * n)[trials, ends] - center
+    us = np.ones(T, dtype=np.int64)
+    for u in range(2, U + 1):
+        layer = _scan_step(x, z, layer, C)
+        flat = layer.reshape(T, m * n)
+        arg = flat.argmax(axis=1)
+        top = flat[trials, arg]
+        if not np.isfinite(top).any():
+            break
+        score = (top - center * u) / math.sqrt(u)
+        better = score > values
+        values[better], ends[better], us[better] = score[better], arg[better], u
+    return values, ends, us
+
+
+def scan_values(x: np.ndarray, z: np.ndarray, C: int, U: int,
+                center: float = 0.0) -> np.ndarray:
+    """Capped normalized scan statistic per trial on (T, m, n) stacks (a 2-D
+    grid counts as one trial); ``center = 0`` gives the raw statistic."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=bool)
     if x.ndim == 2:
         x, z = x[None], z[None]
-    T = x.shape[0]
-    layer = np.where(z, x, NEG_INF)
-    best = layer.max(axis=(1, 2)) - center
-    for u in range(2, U + 1):
-        layer = _scan_step(x, z, layer, C)
-        mx = layer.max(axis=(1, 2))
-        if not np.isfinite(mx).any():
-            break
-        np.maximum(best, (mx - center * u) / math.sqrt(u), out=best)
-    return best
+    return _scan_ends(x, z, C, U, center)[0]
 
 
 def scan_best_single(x2d: np.ndarray, z2d: np.ndarray, C: int, U: int,
                      center: float = 0.0):
-    """(value, i, j, u) of the capped scan maximum on one grid; deterministic
-    tie-breaking toward the smallest u, then row-major node order. Layers
-    are scored as in :func:`scan_values`."""
+    """(value, i, j, u) of the capped scan maximum on one grid, with the end
+    and tie rule of :func:`_scan_ends`; (NEG_INF, None, None, None) when no
+    node is significant."""
     x = np.asarray(x2d, dtype=np.float64)
-    z = np.asarray(z2d, dtype=bool)
-    m, n = x.shape
-    layer = np.where(z, x, NEG_INF)
-    flat = int(np.argmax(layer))
-    best = float(layer.flat[flat]) - center
-    arg = (flat // n, flat % n, 1)
-    for u in range(2, U + 1):
-        layer = _scan_step(x, z, layer, C)
-        flat = int(np.argmax(layer))
-        top = float(layer.flat[flat])
-        if top == NEG_INF:
-            break
-        cand = (top - center * u) / math.sqrt(u)
-        if cand > best:
-            best = cand
-            arg = (flat // n, flat % n, u)
-    if best == NEG_INF:
+    values, ends, us = _scan_ends(x[None], np.asarray(z2d, dtype=bool)[None], C, U, center)
+    value = float(values[0])
+    if value == NEG_INF:
         return NEG_INF, None, None, None
-    return best, arg[0], arg[1], arg[2]
+    i, j = divmod(int(ends[0]), x.shape[1])
+    return value, i, j, int(us[0])
 
 
 def backtrack(x2d: np.ndarray, z2d: np.ndarray, C: int, i: int, j: int, u: int) -> list[int]:

@@ -72,36 +72,26 @@ def _resolve_table_rate(args) -> float:
 
 
 def _cmd_mu_table(args) -> int:
-    lines = []
-    if args.mode == "power":
-        rate = _resolve_table_rate(args)
-        lines.append("n," + ",".join(label for label, _ in POWER_ZETAS))
-        for n in POWER_NS:
-            cells = (
-                min_detectable_mean_power_law(n, args.m, args.C, rate, args.alpha, z,
-                                              eps=args.epsilon, x_star=args.xstar)
-                for _, z in POWER_ZETAS
-            )
-            lines.append(f"{n}," + ",".join(f"{v:.4f}" for v in cells))
-    elif args.mode == "sqrt":
-        rate = _resolve_table_rate(args)
-        lines.append("n," + ",".join(label for label, _ in SQRT_CS))
-        for n in TABLE_NS:
-            cells = (
-                min_detectable_mean_power_law(n, args.m, args.C, rate, 0.5, c,
-                                              eps=args.epsilon, x_star=args.xstar)
-                for _, c in SQRT_CS
-            )
-            lines.append(f"{n}," + ",".join(f"{v:.4f}" for v in cells))
+    if args.mode == "log":
+        columns, ns, fmt = LOG_CS, TABLE_NS, "{:.2f}"
+
+        def cell(n, c):
+            return min_detectable_mean_log_length(n, args.m, c, delta2=args.delta2,
+                                                  x_star=args.xstar)
     else:
-        lines.append("n," + ",".join(label for label, _ in LOG_CS))
-        for n in TABLE_NS:
-            cells = (
-                min_detectable_mean_log_length(n, args.m, c, delta2=args.delta2,
-                                               x_star=args.xstar)
-                for _, c in LOG_CS
-            )
-            lines.append(f"{n}," + ",".join(f"{v:.2f}" for v in cells))
+        rate = _resolve_table_rate(args)
+        if args.mode == "power":
+            columns, ns, alpha = POWER_ZETAS, POWER_NS, args.alpha
+        else:
+            columns, ns, alpha = SQRT_CS, TABLE_NS, 0.5
+        fmt = "{:.4f}"
+
+        def cell(n, c):
+            return min_detectable_mean_power_law(n, args.m, args.C, rate, alpha, c,
+                                                 eps=args.epsilon, x_star=args.xstar)
+    lines = ["n," + ",".join(label for label, _ in columns)]
+    for n in ns:
+        lines.append(f"{n}," + ",".join(fmt.format(cell(n, c)) for _, c in columns))
     _emit(args, lines)
     return 0
 
@@ -183,15 +173,18 @@ def _cmd_simulate(args) -> int:
     if "seed" not in raw:
         raise ValueError("spec JSON must carry an explicit seed (no hidden entropy)")
     law_raw = raw.get("length_law", {"kind": "linear", "coef": 0.1})
-    law = LengthLaw(law_raw["kind"], law_raw["coef"])
+    try:
+        m, n, kind, coef = raw["m"], raw["n"], law_raw["kind"], law_raw["coef"]
+    except KeyError as exc:
+        raise ValueError(f"spec JSON lacks required key {exc}") from None
     spec = ExperimentSpec(
-        m=raw["m"],
-        n=raw["n"],
+        m=m,
+        n=n,
         C=raw.get("C", 1),
         x_star=raw.get("x_star", DEFAULT_X_STAR),
         epsilon=raw.get("epsilon", DEFAULT_EPSILON),
         delta2=raw.get("delta2", DEFAULT_DELTA2),
-        length_law=law,
+        length_law=LengthLaw(kind, coef),
         mu=raw.get("mu", 0.0),
         trials=raw.get("trials", 100),
         seed=raw["seed"],

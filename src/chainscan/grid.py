@@ -320,8 +320,8 @@ def generate_chain(m: int, n: int, C: int, length: int, seed: int) -> ChainPath:
     start_col = 1 + int(rng.integers(0, n - length + 1))
     row = 1 + int(rng.integers(0, m))
     rows = [row]
-    for _ in range(length - 1):
-        row = min(max(row + int(rng.integers(-C, C + 1)), 1), m)
+    for step in rng.integers(-C, C + 1, size=length - 1):
+        row = min(max(row + int(step), 1), m)
         rows.append(row)
     return ChainPath(start_col, tuple(rows))
 

@@ -207,6 +207,18 @@ class TestSimulateCommand:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize("key", ["m", "n", "kind", "coef"])
+    def test_missing_key_is_usage_error(self, tmp_path, key):
+        raw = {"m": 6, "n": 150, "trials": 50, "seed": 5,
+               "length_law": {"kind": "linear", "coef": 0.2}}
+        raw.pop(key, None)
+        raw["length_law"].pop(key, None)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(raw))
+        code, out, err = run_cli("simulate", "--spec", str(spec))
+        assert code == 2 and out == ""
+        assert f"'{key}'" in err
+
     def test_threads_flag_removed(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"m": 6, "n": 150, "trials": 50, "seed": 5}))

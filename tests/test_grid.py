@@ -229,6 +229,13 @@ class TestGenerateChain:
         with pytest.raises(ValueError):
             generate_chain(5, 10, C=1, length=11, seed=0)
 
+    def test_stream_is_pinned(self):
+        # planted chains in every seeded experiment come from this stream
+        assert generate_chain(6, 40, 2, 12, seed=7) == ChainPath(
+            28, (4, 5, 6, 6, 6, 6, 5, 3, 2, 1, 3, 5))
+        assert generate_chain(10, 2000, 1, 9, seed=np.random.SeedSequence([0, 3, 5])) == (
+            ChainPath(632, (4, 4, 3, 4, 4, 3, 2, 2, 3)))
+
     def test_invariants_random_draws(self):
         rng = np.random.default_rng(99)
         for _ in range(10_000):

@@ -1,4 +1,4 @@
-"""Deep-run paths of the vectorized engines."""
+"""Deep-run paths and stack views of the vectorized engines."""
 
 import numpy as np
 
@@ -63,3 +63,22 @@ class TestScanEarlyExit:
             assert np.array_equal(tight, loose)
         else:
             assert (loose >= tight).all()
+
+
+class TestStackViews:
+    def test_single_grid_calls_are_trials_of_the_stack(self, rng):
+        # T = 0 is the stack that _stack_stats scans when Step I rejects every trial
+        for T in (0, 1, 3):
+            for _ in range(20):
+                m, n = int(rng.integers(1, 6)), int(rng.integers(1, 20))
+                C, U = int(rng.integers(0, 3)), int(rng.integers(1, n + 1))
+                center = float(rng.choice([0.0, 1.755]))
+                x = rng.standard_normal((T, m, n))
+                z = x > rng.uniform(-0.5, 1.5)
+                values = _kernels.scan_values(x, z, C, U, center)
+                lengths = _kernels.chain_lengths(z, C)
+                assert values.shape == lengths.shape == (T,)
+                assert values.tolist() == [_kernels.scan_best_single(x[t], z[t], C, U, center)[0]
+                                           for t in range(T)]
+                assert lengths.tolist() == [_kernels.longest_chain_with_witness(z[t], C)[0]
+                                            for t in range(T)]

@@ -6,7 +6,9 @@ import pytest
 from chainscan import (
     UNREACHABLE,
     CapacityError,
+    ChainPath,
     ImageGrid,
+    ScanResult,
     SignificanceMap,
     null_conditional_mean,
     scan_bruteforce,
@@ -62,6 +64,22 @@ class TestScanStatistic:
         sm = significance_map(g, -1.0)
         res = scan_statistic(g, sm, C=1, U=3)
         assert res.value == pytest.approx(-0.5)
+
+    def test_tie_at_one_length_goes_to_row_major_first_end(self):
+        values = np.zeros((3, 5))
+        values[2, 0:2] = values[0, 3:5] = 2.0
+        g = ImageGrid(values)
+        res = scan_statistic(g, significance_map(g, 1.0), C=0, U=5)
+        assert res == ScanResult(2.82842712474619, ChainPath(4, (1, 1)), 2)
+
+    def test_tie_across_lengths_goes_to_shortest(self):
+        # 4 / sqrt(4) equals the single node's 2.0 exactly
+        values = np.zeros((2, 6))
+        values[0, 0] = 2.0
+        values[0, 2:6] = 1.0
+        g = ImageGrid(values)
+        res = scan_statistic(g, significance_map(g, 0.5), C=0, U=6)
+        assert res == ScanResult(2.0, ChainPath(1, (1,)), 1)
 
     def test_cap_validation(self):
         g = ImageGrid(np.zeros((2, 4)))
