@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .detectability import (
@@ -22,7 +23,7 @@ from .detectability import (
 from .detector import detect, detect_frames, make_config
 from .errors import ParseError
 from .grid import load_csv_grid, load_pgm_grid
-from .rates import MAX_EXACT_ROWS, estimate_run_rate, resolve_run_rate
+from .rates import MAX_EXACT_ROWS, build_transfer_operator, estimate_run_rate, perron_root
 from .scan import UNREACHABLE
 from .simulate import ExperimentSpec, LengthLaw, config_for, estimate_power, estimate_type1
 
@@ -35,21 +36,11 @@ LOG_CS = (("1", 1.0), ("2", 2.0), ("5", 5.0), ("10", 10.0), ("50", 50.0), ("100"
 TABLE_NS = (10**3, 10**4, 10**5, 10**6, 10**7, 10**8)
 
 
-def _writer(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="ascii")
-    return None
-
-
 def _emit(args, lines) -> None:
-    fh = _writer(args)
-    try:
-        target = fh or sys.stdout
+    """Print the lines to the --out file, or to stdout without one."""
+    with open(args.out, "w", encoding="ascii") if args.out else nullcontext(sys.stdout) as fh:
         for line in lines:
-            print(line, file=target)
-    finally:
-        if fh:
-            fh.close()
+            print(line, file=fh)
 
 
 def _cmd_rho(args) -> int:
@@ -59,7 +50,7 @@ def _cmd_rho(args) -> int:
         rate = estimate_run_rate(args.m, args.C, args.p, n_cols=args.ncols,
                                  trials=args.trials, seed=args.seed)
     else:
-        rate = resolve_run_rate(args.m, args.C, args.p, method="exact", tol=args.tol)
+        rate = perron_root(build_transfer_operator(args.m, args.C, args.p), tol=args.tol)
     _emit(args, [f"{args.m},{args.C},{args.p:g},{rate.value:.4f},{rate.method}"])
     return 0
 
@@ -68,7 +59,7 @@ def _resolve_table_rate(args) -> float:
     if args.rho is not None:
         return args.rho
     p = 1.0 - normal_cdf(args.xstar)
-    return resolve_run_rate(args.m, args.C, p, method="exact").value
+    return perron_root(build_transfer_operator(args.m, args.C, p)).value
 
 
 def _cmd_mu_table(args) -> int:
@@ -167,9 +158,33 @@ def _cmd_frames(args) -> int:
     return 0
 
 
+_INTEGER = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+# the JSON type of each simulate spec key, nested as in the spec
+_SPEC_TYPES = {"m": _INTEGER, "n": _INTEGER, "C": _INTEGER, "trials": _INTEGER,
+               "seed": _INTEGER, "x_star": _NUMBER, "epsilon": _NUMBER, "delta2": _NUMBER,
+               "mu": _NUMBER, "length_law": {"kind": ((str,), "a string"), "coef": _NUMBER}}
+
+
+def _check_spec_types(obj, table: dict, where: str) -> None:
+    """Raise ValueError naming the key unless obj is a JSON object whose keys
+    in the table hold their JSON type; a bool is not a number here."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    for key, want in table.items():
+        if key not in obj:
+            continue
+        value = obj[key]
+        if isinstance(want, dict):
+            _check_spec_types(value, want, f"{where} key '{key}'")
+        elif isinstance(value, bool) or not isinstance(value, want[0]):
+            raise ValueError(f"{where} key '{key}' must be {want[1]}, got {value!r}")
+
+
 def _cmd_simulate(args) -> int:
     with open(args.spec, "r", encoding="ascii") as fh:
         raw = json.load(fh)
+    _check_spec_types(raw, _SPEC_TYPES, "spec JSON")
     if "seed" not in raw:
         raise ValueError("spec JSON must carry an explicit seed (no hidden entropy)")
     law_raw = raw.get("length_law", {"kind": "linear", "coef": 0.1})
@@ -234,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--ncols", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_rho)
 
     sp = sub.add_parser("mu-table", help="minimum detectable mean tables")
@@ -248,13 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xstar", type=float, default=DEFAULT_X_STAR)
     sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     sp.add_argument("--delta2", type=float, default=DEFAULT_DELTA2)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_mu_table)
 
     sp = sub.add_parser("detect", help="two-step detection on one grid file")
     sp.add_argument("--input", required=True, help="grid file (.csv or .pgm)")
     _add_detector_flags(sp)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_detect)
 
     sp = sub.add_parser("frames", help="per-frame statistics and alarms for a directory")
@@ -262,14 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--l0-alarm", type=float, required=True, dest="l0_alarm")
     sp.add_argument("--scan-alarm", type=float, required=True, dest="scan_alarm")
     _add_detector_flags(sp)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_frames)
 
     sp = sub.add_parser("simulate", help="Monte Carlo error rates from a spec JSON")
     sp.add_argument("--spec", required=True)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_simulate)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--out", default=None)
     return parser
 
 

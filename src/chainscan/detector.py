@@ -87,17 +87,16 @@ def make_config(
     x_star: float = DEFAULT_X_STAR,
     epsilon: float = DEFAULT_EPSILON,
     delta2: float = DEFAULT_DELTA2,
-    run_rate: RunRate | None = None,
     regime: str = FIXED_ROWS,
     U_override: int | None = None,
-    area_rate: float | None = None,
     seed: int = 0,
 ) -> DetectorConfig:
     """Resolve a configuration for m-row grids.
 
     The run rate is computed exactly when the row count permits, by Monte
-    Carlo otherwise (seeded). In the growing-rows regime a missing
-    ``area_rate`` is estimated on a fixed ladder of lattice sizes.
+    Carlo otherwise (seeded). In the growing-rows regime the area rate is
+    estimated on a fixed ladder of lattice sizes. To use rates already at
+    hand, build a :class:`DetectorConfig` directly.
     """
     p = 1.0 - normal_cdf(x_star)
     if p <= 0.0:
@@ -105,9 +104,9 @@ def make_config(
             f"x_star = {x_star:g} leaves no pixel significant under the standard "
             "normal null; standardize intensities or lower the threshold"
         )
-    if run_rate is None:
-        run_rate = resolve_run_rate(m, C, p, seed=seed)
-    if regime == GROWING_ROWS and area_rate is None:
+    run_rate = resolve_run_rate(m, C, p, seed=seed)
+    area_rate = None
+    if regime == GROWING_ROWS:
         area_rate = estimate_area_rate(p, C, _DEFAULT_AREA_SIZES, trials=24, seed=seed)
     return DetectorConfig(
         C=C,

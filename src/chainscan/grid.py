@@ -8,7 +8,8 @@ which chains advance by exactly one column per step).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,7 +123,6 @@ class SignificanceMap:
     """Boolean m-by-n raster marking pixels strictly above a threshold."""
 
     bits: np.ndarray
-    x_star: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.bits, dtype=bool)
@@ -146,7 +146,7 @@ class SignificanceMap:
 
 def significance_map(grid: ImageGrid, x_star: float) -> SignificanceMap:
     """Threshold a grid: bit (i,j) is set iff the intensity strictly exceeds x_star."""
-    return SignificanceMap(grid.values > x_star, x_star=float(x_star))
+    return SignificanceMap(grid.values > x_star)
 
 
 def load_csv_grid(path) -> ImageGrid:
@@ -233,22 +233,12 @@ def write_csv_grid(grid: ImageGrid, path) -> None:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+_PGM_TOKEN = re.compile(rb"#[^\r\n]*|[^\s#]+")  # a comment to the line end, or a token
+
+
 def _pgm_tokens(buf: bytes):
-    """Yield header tokens of a PGM file, skipping '#' comments; also yield position."""
-    i = 0
-    while i < len(buf):
-        ch = buf[i : i + 1]
-        if ch.isspace():
-            i += 1
-        elif ch == b"#":
-            while i < len(buf) and buf[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        else:
-            start = i
-            while i < len(buf) and not buf[i : i + 1].isspace() and buf[i : i + 1] != b"#":
-                i += 1
-            yield buf[start:i], i
-    return
+    """Yield each header token of a PGM file, skipping '#' comments, with its end offset."""
+    return ((t[0], t.end()) for t in _PGM_TOKEN.finditer(buf) if t[0][:1] != b"#")
 
 
 def load_pgm_grid(path) -> ImageGrid:

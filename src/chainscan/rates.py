@@ -100,11 +100,6 @@ class TransferOperator:
         self._in_weight = (p / (1.0 - p)) ** pop
         self._out_weight = (1.0 - p) ** pop[nb]
 
-    @property
-    def dim(self) -> int:
-        """Number of states (nonempty subsets)."""
-        return (1 << self.m) - 1
-
     def _mask_of(self, rows: Iterable[int]) -> int:
         mask = 0
         for r in rows:
@@ -257,22 +252,11 @@ def estimate_run_rate(
     return RunRate(float(np.mean(estimates)), m, C, p, MC_METHOD)
 
 
-def resolve_run_rate(
-    m: int,
-    C: int,
-    p: float,
-    method: str = "auto",
-    tol: float = 1e-10,
-    n_cols: int = 100_000,
-    trials: int = 50,
-    seed: int = 0,
-) -> RunRate:
-    """Exact spectral rate when the state space allows it, Monte Carlo otherwise."""
-    if method not in ("auto", "exact", "mc"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exact" or (method == "auto" and m <= MAX_EXACT_ROWS):
-        return perron_root(build_transfer_operator(m, C, p), tol=tol)
-    return estimate_run_rate(m, C, p, n_cols=n_cols, trials=trials, seed=seed)
+def resolve_run_rate(m: int, C: int, p: float, seed: int = 0) -> RunRate:
+    """Exact spectral rate when m <= MAX_EXACT_ROWS, seeded Monte Carlo otherwise."""
+    if m <= MAX_EXACT_ROWS:
+        return perron_root(build_transfer_operator(m, C, p))
+    return estimate_run_rate(m, C, p, seed=seed)
 
 
 def estimate_area_rate(

@@ -39,6 +39,12 @@ class TestRhoCommand:
         assert code == 0
         assert out.strip() == "2,1,0.3,0.5100,exact-spectral"
 
+    def test_tol_reaches_perron_root(self):
+        code, out, _ = run_cli("rho", "--m", "6", "--C", "1", "--p", "0.2", "--tol", "1e-13")
+        rate = chainscan.perron_root(chainscan.build_transfer_operator(6, 1, 0.2), tol=1e-13)
+        assert code == 0
+        assert out == f"6,1,0.2,{rate.value:.4f},exact-spectral\n"
+
     def test_mc_requires_seed(self):
         code, out, err = run_cli("rho", "--m", "4", "--C", "1", "--p", "0.1",
                                  "--method", "mc")
@@ -218,6 +224,28 @@ class TestSimulateCommand:
         code, out, err = run_cli("simulate", "--spec", str(spec))
         assert code == 2 and out == ""
         assert f"'{key}'" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("m", "8"), ("m", 8.0), ("m", True), ("n", None), ("C", 1.5), ("trials", 50.0),
+        ("seed", "1"), ("mu", "2"), ("mu", False), ("x_star", [1.2]), ("epsilon", "1e-4"),
+        ("delta2", {}), ("length_law", "linear"), ("kind", 1), ("coef", "0.2"),
+    ])
+    def test_wrong_type_is_usage_error(self, tmp_path, key, value):
+        raw = {"m": 6, "n": 150, "trials": 50, "seed": 5,
+               "length_law": {"kind": "linear", "coef": 0.2}}
+        (raw["length_law"] if key in ("kind", "coef") else raw)[key] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(raw))
+        code, out, err = run_cli("simulate", "--spec", str(spec))
+        assert code == 2 and out == ""
+        assert f"'{key}'" in err
+
+    def test_spec_must_be_an_object(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[1, 2]")
+        code, out, err = run_cli("simulate", "--spec", str(spec))
+        assert code == 2 and out == ""
+        assert "object" in err
 
     def test_threads_flag_removed(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -197,6 +197,27 @@ class TestPgm:
         with pytest.raises(ParseError, match="magic"):
             load_pgm_grid(path)
 
+    @pytest.mark.parametrize("data,expected", [
+        (b"P2\n2 1\n255\n1#x\n2\n", [[1, 2]]),  # a comment ends a token
+        (b"P2\x0b2 1\x0c255\n3\r4", [[3, 4]]),  # every ASCII whitespace separates
+        (b"P5 1 1 255 " + bytes([7]), [[7]]),  # one whitespace byte before the payload
+        (b"P2 1 1 255 1 2", "more than 1 pixel values"),
+        (b"P2 2 1 255 1 x", "invalid pixel token b'x'"),
+        (b"P2 2 1 255 1", "truncated: 1 of 2 pixel values"),
+        (b"P2 1 1 9 10", "pixel value 10 outside [0,9]"),
+        (b"P5 2 1 255 " + bytes([7]), "truncated: 1 of 2 payload bytes"),
+        (b"#P2\nP6 1 1 255 0", "bad magic b'P6'"),
+        (b"# only a comment\n", "empty file"),
+    ])
+    def test_tokens_and_errors(self, tmp_path, data, expected):
+        path = tmp_path / "g.pgm"
+        path.write_bytes(data)
+        if isinstance(expected, str):
+            with pytest.raises(ParseError, match=re.escape(expected)):
+                load_pgm_grid(path)
+        else:
+            assert load_pgm_grid(path).values.tolist() == expected
+
 
 class TestNullGrid:
     def test_moments(self):

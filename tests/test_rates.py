@@ -12,6 +12,7 @@ from chainscan import (
     perron_root,
     resolve_run_rate,
 )
+from chainscan import rates
 
 
 class TestNeighborhood:
@@ -237,11 +238,14 @@ class TestMonteCarloRate:
         with pytest.raises(ValueError):
             estimate_run_rate(4, 1, 0.2, n_cols=2000, trials=0, seed=0)
 
-    def test_resolve_switches_method(self):
+    def test_resolve_switches_method(self, monkeypatch):
         exact = resolve_run_rate(4, 1, 0.2)
         assert exact.method == "exact-spectral"
-        mc = resolve_run_rate(25, 1, 0.1, n_cols=2000, trials=5, seed=1)
+        assert exact == perron_root(build_transfer_operator(4, 1, 0.2))
+        monkeypatch.setattr(rates, "MAX_EXACT_ROWS", 3)  # m = 4 is now past the guard
+        mc = resolve_run_rate(4, 1, 0.2, seed=1)
         assert mc.method == "monte-carlo"
+        assert mc == estimate_run_rate(4, 1, 0.2, seed=1)
 
 
 class TestAreaRate:

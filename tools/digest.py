@@ -1,0 +1,259 @@
+"""Print one ``name sha256`` line per canonical output of chainscan.
+
+Run it on two checkouts and ``diff`` the outputs: a refactor that must keep
+every output bit-identical should print the same lines on both.
+
+    python tools/digest.py > digest.txt
+
+The script imports ``chainscan`` from the ``src`` directory beside it and
+takes no flags. It covers configuration reprs, every CLI command's output and
+``--help`` text, detection on seeded null and planted grids, frame mode and
+alarm calibration at 50x50, the batched kernels and witnesses, and the stdout
+of every demo. It runs in about a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+import chainscan as cs  # noqa: E402
+from chainscan import _kernels  # noqa: E402
+from chainscan.cli import main  # noqa: E402
+
+X_STAR = cs.DEFAULT_X_STAR
+
+
+def emit(name: str, data) -> None:
+    if isinstance(data, str):
+        data = data.encode()
+    print(f"{name} {hashlib.sha256(data).hexdigest()}", flush=True)
+
+
+def cli(*argv) -> str:
+    """``chainscan`` stdout, stderr and exit code of one command, as one string."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # --help exits from argparse
+            code = exc.code
+    return f"{code}\n{out.getvalue()}\n{err.getvalue()}"
+
+
+def rng(*stream: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(list(stream)))
+
+
+def payload(result) -> str:
+    w = result.witness
+    return repr((result.reject_null, result.deciding_stage, result.l0_length,
+                 result.x_star_s, result.thresholds,
+                 None if w is None else (w.start_col, w.rows)))
+
+
+def configs() -> None:
+    for m in (6, 10, 16):
+        emit(f"make_config/m{m}", repr(cs.make_config(m)))
+    emit("make_config/m30-seed3", repr(cs.make_config(30, seed=3)))
+    emit("make_config/m50-seed0", repr(cs.make_config(50, seed=0)))
+    emit("make_config/growing-m12-seed5",
+         repr(cs.make_config(12, regime="growing-m", seed=5)))
+
+
+def commands(tmp: Path) -> None:
+    emit("help", cli("--help"))
+    for sub in ("rho", "mu-table", "detect", "frames", "simulate"):
+        emit(f"help/{sub}", cli(sub, "--help"))
+    emit("rho/m4-p0.1", cli("rho", "--m", 4, "--C", 1, "--p", 0.1))
+    emit("rho/m6-p0.2-tol1e-13", cli("rho", "--m", 6, "--C", 1, "--p", 0.2, "--tol", 1e-13))
+    emit("rho/m10-C2-p0.05", cli("rho", "--m", 10, "--C", 2, "--p", 0.05))
+    emit("rho/mc", cli("rho", "--m", 6, "--C", 1, "--p", 0.2, "--method", "mc",
+                       "--ncols", 5000, "--trials", 10, "--seed", 3))
+    emit("rho/m30-capacity", cli("rho", "--m", 30, "--C", 1, "--p", 0.1))
+    for mode in ("power", "sqrt", "log"):
+        emit(f"mu-table/{mode}", cli("mu-table", "--mode", mode, "--m", 10, "--C", 1,
+                                     "--rho", 0.2691, "--xstar", 1.2816))
+    emit("mu-table/power-exact-rho", cli("mu-table", "--mode", "power", "--m", 6, "--C", 1))
+    out = tmp / "table.csv"
+    cli("mu-table", "--mode", "sqrt", "--m", 10, "--C", 1, "--rho", 0.2691, "--out", out)
+    emit("mu-table/sqrt-out-file", out.read_bytes())
+    spec = tmp / "spec.json"
+    for seed in (0, 1, 2):
+        spec.write_text(json.dumps({"m": 10, "n": 2000, "C": 1, "mu": 2.5, "trials": 100,
+                                    "length_law": {"kind": "linear", "coef": 0.2},
+                                    "seed": seed}))
+        emit(f"simulate/monte-carlo-seed{seed}", cli("simulate", "--spec", spec))
+    spec.write_text(json.dumps({"m": 6, "n": 150, "trials": 50, "seed": 5}))
+    emit("simulate/defaults", cli("simulate", "--spec", spec))
+    spec.write_text(json.dumps({"m": 6, "n": 150, "trials": 50}))
+    emit("simulate/no-seed", cli("simulate", "--spec", spec))
+
+
+def detect_files(tmp: Path) -> None:
+    """``chainscan detect --out`` on the cli-detect benchmark's noise files, seeds 0-9."""
+    for seed in range(10):
+        for k in range(2):
+            path = tmp / f"noise-{seed}-{k}.csv"
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write("16,20000\n")
+                np.savetxt(fh, rng(seed, 1, k).standard_normal((16, 20000)),
+                           fmt="%.17g", delimiter=",")
+            out = tmp / "detect.json"
+            cli("detect", "--input", path, "--out", out)
+            emit(f"detect/cli-noise-seed{seed}-{k}", out.read_bytes())
+            path.unlink()
+    grid = cs.embed_chain(cs.generate_null_grid(10, 120, seed=3),
+                          cs.generate_chain(10, 120, 1, 120, seed=4), 4.0)
+    path = tmp / "planted.csv"
+    cs.write_csv_grid(grid, path)
+    emit("detect/cli-planted", cli("detect", "--input", path))
+    emit("detect/cli-planted-growing", cli("detect", "--input", path, "--regime",
+                                           "growing-m", "--seed", 2))
+    frames = tmp / "frames"
+    frames.mkdir()
+    for k in range(6):
+        cs.write_csv_grid(cs.generate_null_grid(10, 50, seed=k), frames / f"f{k:03d}.csv")
+    emit("frames/cli", cli("frames", "--dir", frames, "--l0-alarm", 5, "--scan-alarm", 3))
+
+
+def pgm(tmp: Path) -> None:
+    """PGM parsing: grids, or error messages, of seeded random headers and bodies."""
+    r = rng(5, 7)
+    path = tmp / "g.pgm"
+    pieces = [b"P2", b"P5", b"2", b"3", b"255", b"7", b"300", b"#c", b"x", b"-1"]
+    seps = [b" ", b"\n", b"\r", b"\t", b"\x0b", b"\x0c", b"#c\n", b"\n#\r"]
+    parts = []
+    for _ in range(400):
+        data = b"".join(pieces[int(r.integers(0, 10))] + seps[int(r.integers(0, 8))]
+                        for _ in range(int(r.integers(1, 12))))
+        if r.random() < 0.5:
+            data = b"P%d %d %d 255\n" % (int(r.choice([2, 5])), int(r.integers(1, 3)),
+                                          int(r.integers(1, 3))) + data
+        path.write_bytes(data)
+        try:
+            parts.append(repr(cs.load_pgm_grid(path).values.tolist()))
+        except cs.ParseError as exc:
+            parts.append(str(exc).replace(str(path), "<path>"))
+    emit("pgm/random", "\n".join(parts))
+
+
+def strong_chain() -> None:
+    """Library ``detect`` on the strong-chain benchmark's grids, seeds 0-4."""
+    config = cs.make_config(10)
+    for seed in range(5):
+        for k in range(2):
+            for attempt in range(100):
+                r = rng(seed, 2, k, attempt)
+                values = r.standard_normal((10, 10_000))
+                start = 1 + int(r.integers(0, 10_000 - 3_000 + 1))
+                steps = r.integers(-1, 2, size=3_000 - 1)
+                rows = [1 + int(r.integers(0, 10))]
+                for d in steps:
+                    rows.append(min(max(rows[-1] + int(d), 1), 10))
+                values[np.asarray(rows) - 1, np.arange(start - 1, start - 1 + len(rows))] += 4.0
+                grid = cs.ImageGrid(values)
+                sig = cs.significance_map(grid, X_STAR)
+                if cs.longest_run_length(sig, 1, witness=False).length > 512:
+                    break
+            emit(f"detect/strong-chain-seed{seed}-{k}", payload(cs.detect(grid, config)))
+
+
+def library_detect() -> None:
+    for seed in range(6):
+        m, n = 4 + 2 * seed, 300 + 100 * seed
+        config = cs.make_config(m)
+        grid = cs.generate_null_grid(m, n, seed=seed)
+        emit(f"detect/null-m{m}-seed{seed}", payload(cs.detect(grid, config)))
+        sig = cs.significance_map(grid, X_STAR)
+        emit(f"significance_map/m{m}-seed{seed}", repr((sig.m, sig.n, sig.count()))
+             + sig.bits.tobytes().hex())
+        for mu in (1.5, 4.0):
+            chain = cs.generate_chain(m, n, 1, n // 3, seed=100 + seed)
+            planted = cs.embed_chain(grid, chain, mu)
+            emit(f"detect/planted-m{m}-seed{seed}-mu{mu}", payload(cs.detect(planted, config)))
+
+
+def frames() -> None:
+    """The frames benchmark's set-up and ``detect_frames`` at 50x50, seeds 0-1."""
+    for seed in (0, 1):
+        r = rng(seed, 3)
+        stack = r.standard_normal((2000, 50, 50))
+        for k in range(5, 2000, 10):
+            start = 1 + int(r.integers(0, 50 - 30 + 1))
+            steps = r.integers(-1, 2, size=30 - 1)
+            rows = [1 + int(r.integers(0, 50))]
+            for d in steps:
+                rows.append(min(max(rows[-1] + int(d), 1), 50))
+            stack[k][np.asarray(rows) - 1, np.arange(start - 1, start + 29)] += 3.0
+        config = cs.make_config(50, seed=seed)
+        cuts = cs.calibrate_alarms(50, 50, 1, config.x_star, alpha=0.01, trials=5000,
+                                   seed=seed + 1, config=config)
+        emit(f"frames/config-seed{seed}", repr(config))
+        emit(f"frames/cuts-seed{seed}", repr(cuts))
+        stats = cs.detect_frames([cs.ImageGrid(v) for v in stack], config, *cuts)
+        emit(f"frames/stats-seed{seed}", repr(stats))
+
+
+def kernels() -> None:
+    """Batched kernels, single-grid views and witnesses on seeded random stacks."""
+    r = rng(20, 26)
+    for case in range(120):
+        T, m, n = int(r.integers(0, 5)), int(r.integers(1, 8)), int(r.integers(1, 40))
+        C, U = int(r.integers(0, 3)), int(r.integers(1, n + 1))
+        if case % 2:  # values 0, 1 and 4 make ties within and across chain lengths
+            x = r.choice([0.0, 1.0, 4.0], size=(T, m, n), p=[0.3, 0.6, 0.1])
+            z, center = x > 0.5, 0.0
+        else:
+            x = r.standard_normal((T, m, n))
+            z, center = x > X_STAR, float(r.choice([0.0, 1.755]))
+        parts = [_kernels.chain_lengths(z, C).tobytes(),
+                 _kernels.scan_values(x, z, C, U, center).tobytes()]
+        for t in range(T):
+            parts.append(repr(_kernels.longest_chain_with_witness(z[t], C)).encode())
+            parts.append(repr(_kernels.scan_best_single(x[t], z[t], C, U, center)).encode())
+            grid, sig = cs.ImageGrid(x[t]), cs.SignificanceMap(z[t])
+            parts.append(repr(cs.longest_run_length(sig, C)).encode())
+            parts.append(repr(cs.scan_statistic(grid, sig, C, U, center=center)).encode())
+        emit(f"kernels/case{case}", b"|".join(parts))
+    deep = np.ones((2, 4, 1500), dtype=bool)  # runs past the propagation cap
+    deep[1, :, 700] = False
+    emit("kernels/deep", _kernels.chain_lengths(deep, 1).tobytes()
+         + repr(_kernels.longest_chain_with_witness(deep[1], 1)).encode())
+
+
+def demos() -> None:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+                              timeout=600)
+        emit(f"demo/{demo.name}", f"{proc.returncode}\n".encode() + proc.stdout)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmpdir:
+        configs()
+        commands(Path(tmpdir))
+        detect_files(Path(tmpdir))
+        pgm(Path(tmpdir))
+    strong_chain()
+    library_detect()
+    frames()
+    kernels()
+    demos()
