@@ -3,13 +3,19 @@
 All kernels take raw ndarrays and work on stacks shaped (trials, m, n), so
 Monte Carlo loops stay inside numpy.
 
-Each stage has one layer loop that returns per-trial values and ends:
+Each stage has one exact layer loop that returns per-trial values and ends:
 ``_chain_ends`` for the run stage and ``_scan_ends`` for the scan stage. A
-single-grid call is a T=1 view of its stage's loop. The run stage hands runs
-deeper than ``_PROP_CAP`` layers to a column sweep that reports the same
-endpoint, the row-major first cell that ends a longest chain. One backtrack
-rebuilds the witness of either stage (the run stage's with all-zero
-intensities), so a run witness follows one tie rule at any depth.
+single-grid call is a T=1 view of its stage's loop. Layer k holds the cells
+that end a chain of k nodes, and its live cells fall geometrically with k.
+While at least 1/``_SPARSE_RATIO`` of the stack's cells are live, a layer
+step is a dense pass over the whole stack; after that the loop follows the
+sorted flat indices of the live cells (with their chain sums in the scan
+stage) through :func:`_successors`, so its cost follows the live cells, as
+in sparse dynamic programming (Eppstein, Galil, Giancarlo & Italiano, J. ACM
+39, 1992). Both phases keep the same end and tie rules, so no output depends
+on which phase found it. One backtrack rebuilds the witness of either stage
+(the run stage's with all-zero intensities), so a run witness follows one
+tie rule at any depth.
 """
 
 from __future__ import annotations
@@ -20,9 +26,8 @@ import numpy as np
 
 NEG_INF = float("-inf")
 
-# Iteration cap for the layer-propagation longest-run engine; beyond it the
-# column sweep takes over (cheaper when runs are very long).
-_PROP_CAP = 512
+# A layer step is dense while at least 1/_SPARSE_RATIO of the stack's cells are live.
+_SPARSE_RATIO = 64
 
 # Grid cells per trial batch: 1 MB per float64 array, so a batch stays in cache.
 _BATCH_CELLS = 1 << 17
@@ -52,32 +57,59 @@ def _chain_step(bits: np.ndarray, cur: np.ndarray, C: int) -> np.ndarray:
     return nxt
 
 
-def _scan_step(x: np.ndarray, z: np.ndarray, layer: np.ndarray, C: int) -> np.ndarray:
-    """Scan layer u+1 from layer u on (..., m, n): the best sum of a chain one
-    node longer ending at each significant cell, NEG_INF where unreachable."""
+def _scan_step(x: np.ndarray, z: np.ndarray, layer: np.ndarray, C: int) -> int:
+    """Scan layer u+1 from layer u on (..., m, n), in place: the best sum of a
+    chain one node longer ending at each significant cell, NEG_INF where
+    unreachable. Returns the number of reachable cells."""
     prev = dilate_rows_max(layer, C)
-    nxt = np.full_like(layer, NEG_INF)
-    np.add(x[..., 1:], prev[..., :-1], out=nxt[..., 1:],
-           where=z[..., 1:] & (prev[..., :-1] > NEG_INF))
-    return nxt
+    reach = z[..., 1:] & (prev[..., :-1] > NEG_INF)
+    layer.fill(NEG_INF)
+    np.add(x[..., 1:], prev[..., :-1], out=layer[..., 1:], where=reach)
+    return np.count_nonzero(reach)
 
 
-def _sweep_ends(bits: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column sweep over (T, m, n) bits, O(C*m*n) per trial and O(T*m) memory,
-    with the same (lengths, ends) as :func:`_chain_ends`: each row keeps its
-    best length and the first column that reaches it."""
-    T, m, n = bits.shape
-    cols = bits.transpose(2, 1, 0)  # (n, m, T): rows on axis -2 for the dilation
-    y = cols[0].astype(np.int64)
-    best = y.copy()
-    first = np.zeros((m, T), dtype=np.int64)
-    for j in range(1, n):
-        y = (1 + dilate_rows_max(y, C)) * cols[j]
-        first[y > best] = j
-        np.maximum(best, y, out=best)
-    lengths = best.max(axis=0)
-    rows = (best == lengths).argmax(axis=0)
-    return lengths, rows * n + first[rows, np.arange(T)]
+def _firsts(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    mask = np.empty(a.size, dtype=bool)
+    mask[:1] = True
+    np.not_equal(a[1:], a[:-1], out=mask[1:])
+    return mask
+
+
+def _padded(b: np.ndarray, C: int) -> np.ndarray:
+    """Flat copy of a (T, m, n) boolean stack with C false rows above and below
+    each trial and a false column on the right, so that no successor offset
+    leaves its trial or needs a bounds check."""
+    T, m, n = b.shape
+    out = np.zeros((T, m + 2 * C, n + 1), dtype=bool)
+    out[:, C : C + m, :n] = b
+    return out.reshape(-1)
+
+
+def _padded_index(cells: np.ndarray, m: int, n: int, C: int) -> np.ndarray:
+    """Flat indices into the :func:`_padded` layout of flat (T, m, n) indices."""
+    rows = cells // n  # t*m + r
+    return cells + rows + (2 * (rows // m) + 1) * (C * (n + 1))
+
+
+def _unpadded(cells: np.ndarray, m: int, n: int, C: int) -> np.ndarray:
+    """Flat (T, m, n) indices of flat indices into the :func:`_padded` layout."""
+    rows = cells // (n + 1)  # t*(m + 2C) + C + r
+    return cells - rows - (2 * (rows // (m + 2 * C)) + 1) * (C * n)
+
+
+def _successors(cells: np.ndarray, zp: np.ndarray, n: int,
+                C: int) -> tuple[np.ndarray, np.ndarray]:
+    """Significant cells (r+d, c+1), |d| <= C, after sorted live ``cells``,
+    all flat indices into the :func:`_padded` significance ``zp``.
+
+    Returns the successors, as 2C+1 sorted runs (one per d) that a stable
+    sort merges in about linear time, and the (2C+1, live) mask of the
+    candidates kept, which says whose successor each one is.
+    """
+    cand = np.arange(1 - C * (n + 1), C * (n + 1) + 2, n + 1)[:, None] + cells
+    sig = zp[cand]
+    return cand[sig], sig
 
 
 def _chain_ends(bits: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
@@ -85,28 +117,41 @@ def _chain_ends(bits: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
     flat index of the row-major first cell that ends such a chain (0 when no
     bit is set).
 
-    Iterates reachability layers (cost proportional to the answer); trials
-    whose runs reach the iteration cap finish in the column sweep.
+    Iterates reachability layers until none is left, so the cost scales with
+    the answer; a trial's length and end are written at its last nonempty
+    layer.
     """
     T, m, n = bits.shape
+    mn = m * n
     lengths = np.zeros(T, dtype=np.int64)
     ends = np.zeros(T, dtype=np.int64)
-    cur = bits
-    alive = cur.any(axis=(1, 2))
-    k = 0
-    while alive.any():
-        k += 1
-        lengths[alive] = k
-        if _PROP_CAP <= k < n:
-            idx = np.flatnonzero(alive)
-            lengths[idx], ends[idx] = _sweep_ends(bits[idx], C)
-            break
+    cur, k = bits, 1
+    alive, live = cur.any(axis=(1, 2)), np.count_nonzero(cur)
+    while live and live * _SPARSE_RATIO >= cur.size:
         nxt = _chain_step(bits, cur, C)
         still = nxt.any(axis=(1, 2))
         done = alive & ~still  # cur is their last nonempty layer
         if done.any():
-            ends[done] = cur[done].reshape(-1, m * n).argmax(axis=1)
-        cur, alive = nxt, still
+            lengths[done] = k
+            ends[done] = cur[done].reshape(-1, mn).argmax(axis=1)
+        cur, alive, live, k = nxt, still, np.count_nonzero(nxt), k + 1
+    if not live:
+        return lengths, ends
+    cells = _padded_index(np.flatnonzero(cur), m, n, C)
+    cur = nxt = None  # free the dense layers before the padded copy
+    zp = _padded(bits, C)
+    bounds = np.arange(T + 1) * ((m + 2 * C) * (n + 1))  # trial t: [bounds[t], bounds[t+1])
+    starts = np.searchsorted(cells, bounds)
+    while cells.size:
+        nxt = np.sort(_successors(cells, zp, n, C)[0], kind="stable")
+        nxt = nxt[_firsts(nxt)]
+        nstarts = np.searchsorted(nxt, bounds)
+        done = np.flatnonzero((starts[1:] > starts[:-1]) & (nstarts[1:] == nstarts[:-1]))
+        if done.size:
+            lengths[done] = k
+            # the first live cell of a trial is its row-major first end
+            ends[done] = _unpadded(cells[starts[done]], m, n, C) - done * mn
+        cells, starts, k = nxt, nstarts, k + 1
     return lengths, ends
 
 
@@ -137,6 +182,16 @@ def longest_chain_with_witness(bits2d: np.ndarray, C: int) -> tuple[int, int | N
     return k, j - k + 1, backtrack(np.broadcast_to(0.0, bits.shape), bits, C, i, j, k)
 
 
+def _keep_better(values: np.ndarray, ends: np.ndarray, us: np.ndarray, trials: np.ndarray,
+                 top: np.ndarray, arg: np.ndarray, u: int, center: float) -> None:
+    """Score layer u's maxima ``top`` (at ends ``arg``) of ``trials`` and keep
+    each score that strictly beats the trial's best so far."""
+    score = (top - center * u) / math.sqrt(u)
+    better = score > values[trials]
+    trials = trials[better]
+    values[trials], ends[trials], us[trials] = score[better], arg[better], u
+
+
 def _scan_ends(x: np.ndarray, z: np.ndarray, C: int, U: int,
                center: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Capped scan maximum per trial of (T, m, n) stacks, the flat index of the
@@ -150,21 +205,46 @@ def _scan_ends(x: np.ndarray, z: np.ndarray, C: int, U: int,
     u, then to row-major node order.
     """
     T, m, n = x.shape
+    mn = m * n
     trials = np.arange(T)
     layer = np.where(z, x, NEG_INF)
-    ends = layer.reshape(T, m * n).argmax(axis=1)
-    values = layer.reshape(T, m * n)[trials, ends] - center
+    ends = layer.reshape(T, mn).argmax(axis=1)
+    values = layer.reshape(T, mn)[trials, ends] - center
     us = np.ones(T, dtype=np.int64)
-    for u in range(2, U + 1):
-        layer = _scan_step(x, z, layer, C)
-        flat = layer.reshape(T, m * n)
+    u, live = 2, np.count_nonzero(z)
+    while u <= U and live and live * _SPARSE_RATIO >= layer.size:
+        live = _scan_step(x, z, layer, C)
+        flat = layer.reshape(T, mn)
         arg = flat.argmax(axis=1)
-        top = flat[trials, arg]
-        if not np.isfinite(top).any():
+        _keep_better(values, ends, us, trials, flat[trials, arg], arg, u, center)
+        u += 1
+    if not (live and u <= U):
+        return values, ends, us
+    cells = np.flatnonzero(layer > NEG_INF)
+    sums = layer.reshape(-1)[cells]
+    cells = _padded_index(cells, m, n, C)
+    zp = _padded(z, C)
+    bounds = np.arange(T + 1) * ((m + 2 * C) * (n + 1))
+    xs = x.reshape(-1)
+    for u in range(u, U + 1):
+        succ, sig = _successors(cells, zp, n, C)
+        if not succ.size:
             break
-        score = (top - center * u) / math.sqrt(u)
-        better = score > values
-        values[better], ends[better], us[better] = score[better], arg[better], u
+        order = np.argsort(succ, kind="stable")
+        succ = succ[order]
+        heads = np.flatnonzero(_firsts(succ))
+        cells = succ[heads]
+        at = _unpadded(cells, m, n, C)
+        # the best predecessor, then x once: rounding is monotone, so this
+        # equals the dense step's sum bit for bit
+        pred = np.broadcast_to(sums, sig.shape)[sig][order]
+        sums = np.maximum.reduceat(pred, heads) + xs[at]
+        starts = np.searchsorted(cells, bounds)
+        t = np.flatnonzero(starts[1:] > starts[:-1])
+        top = np.maximum.reduceat(sums, starts[t])
+        hits = np.flatnonzero(sums == np.repeat(top, np.diff(starts)[t]))
+        first = hits[np.searchsorted(hits, starts[t])]  # each trial's row-major first maximum
+        _keep_better(values, ends, us, t, top, at[first] - t * mn, u, center)
     return values, ends, us
 
 
@@ -226,5 +306,13 @@ def backtrack(x2d: np.ndarray, z2d: np.ndarray, C: int, i: int, j: int, u: int) 
 
 
 def bernoulli_stack(rng: np.random.Generator, T: int, m: int, n: int, p: float) -> np.ndarray:
-    """(T, m, n) i.i.d. Bernoulli(p) sample drawn as float32 uniforms."""
-    return rng.random((T, m, n), dtype=np.float32) < p
+    """(T, m, n) i.i.d. Bernoulli(p) sample drawn as float32 uniforms.
+
+    The uniforms are drawn in chunks of _BATCH_CELLS, which gives the same
+    stream as one draw without a float32 copy of the whole stack.
+    """
+    out = np.empty(T * m * n, dtype=bool)
+    for start in range(0, out.size, _BATCH_CELLS):
+        chunk = out[start : start + _BATCH_CELLS]
+        np.less(rng.random(chunk.size, dtype=np.float32), p, out=chunk)
+    return out.reshape(T, m, n)

@@ -1,7 +1,8 @@
 """Longest significant chain: exact dynamic program and exhaustive oracle.
 
 The recursion advances one column per step; a chain ending at (i, j) extends
-any chain ending in column j-1 at a row within C of i. Cost is O(C*m*n).
+any chain ending in column j-1 at a row within C of i. The engine follows it
+in layers of chain ends, at O(C) per live cell of a layer.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ def longest_run_length(sig_map: SignificanceMap, C: int, witness: bool = True) -
     it ends at the row-major first cell (smallest row, then smallest column)
     that ends a longest chain, and each earlier node takes the smallest row
     that keeps the chain, whatever the depth of the run. ``witness=False``
-    skips the backtrack. Either way the length comes from layer propagation,
-    whose cost scales with the answer (fast on large sparse maps); runs past
-    512 layers finish in a column sweep.
+    skips the backtrack. Either way the length comes from layer propagation:
+    dense passes while many cells still end a chain, then a pass over the
+    live cells only, so the cost follows the answer and the live cells at
+    any depth.
     """
     if C < 0:
         raise ValueError(f"drift bound C must be >= 0, got {C}")

@@ -1,46 +1,64 @@
-"""Deep-run paths and stack views of the vectorized engines."""
+"""Deep-run paths, dense/sparse phase equivalence and stack views of the engines."""
+
+import math
 
 import numpy as np
+import pytest
 
-from chainscan import SignificanceMap, _kernels, longest_run_length
+from chainscan import (
+    DEFAULT_X_STAR,
+    SignificanceMap,
+    _kernels,
+    longest_run_length,
+    null_conditional_mean,
+)
 from conftest import check_chain
+
+# _SPARSE_RATIO values: every step after layer 1 sparse, or every step dense
+SPARSE, DENSE = 0, math.inf
+
+
+@pytest.fixture
+def phase(monkeypatch):
+    """Sets the dense/sparse switch of both layer loops for the rest of a test."""
+    return lambda ratio: monkeypatch.setattr(_kernels, "_SPARSE_RATIO", ratio)
 
 
 class TestDeepRunFallbacks:
-    def test_batched_lengths_past_propagation_cap(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_PROP_CAP", 8)
+    def test_batched_lengths_past_propagation_cap(self, phase):
         rng = np.random.default_rng(5)
         bits = rng.random((6, 3, 40)) < 0.7  # long runs, several trials
-        lengths = _kernels.chain_lengths(bits, C=1)
-        monkeypatch.setattr(_kernels, "_PROP_CAP", 512)
-        expected = _kernels.chain_lengths(bits, C=1)
-        assert np.array_equal(lengths, expected)
+        lengths = _kernels.chain_lengths(bits, C=1)  # default switch
+        for ratio in (SPARSE, DENSE):
+            phase(ratio)
+            assert np.array_equal(_kernels.chain_lengths(bits, C=1), lengths)
 
-    def test_sweep_matches_propagation(self, rng, monkeypatch):
-        # caps 1-3 send most trials through the column sweep: lengths and
-        # witnesses must not depend on which engine found them
+    def test_sweep_matches_propagation(self, rng, phase):
+        # lengths and witnesses must not depend on the phase that found them:
+        # sparse from layer 2, switched at several depths, or never sparse
         for _ in range(50):
             T = int(rng.integers(1, 4))
             m = int(rng.integers(1, 5))
             n = int(rng.integers(1, 30))
             C = int(rng.integers(0, 3))
             bits = rng.random((T, m, n)) < rng.uniform(0.2, 0.9)
+            phase(DENSE)
             lengths = _kernels.chain_lengths(bits, C)
             witnesses = [_kernels.longest_chain_with_witness(b, C) for b in bits]
-            for cap in (1, 2, 3):
-                monkeypatch.setattr(_kernels, "_PROP_CAP", cap)
+            for ratio in (SPARSE, 2, 8, 64):
+                phase(ratio)
                 assert np.array_equal(_kernels.chain_lengths(bits, C), lengths)
                 assert [_kernels.longest_chain_with_witness(b, C) for b in bits] == witnesses
-            monkeypatch.setattr(_kernels, "_PROP_CAP", 512)
 
-    def test_witness_past_cap(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_PROP_CAP", 4)
+    def test_witness_past_cap(self, phase):
         bits = np.ones((2, 20), dtype=bool)
-        k, start, rows = _kernels.longest_chain_with_witness(bits, C=1)
-        assert k == 20 and start == 0 and len(rows) == 20
+        for ratio in (SPARSE, DENSE):
+            phase(ratio)
+            k, start, rows = _kernels.longest_chain_with_witness(bits, C=1)
+            assert k == 20 and start == 0 and rows == [0] * 20
 
     def test_full_width_run(self):
-        bits = np.ones((1, 700), dtype=bool)  # exceeds the propagation cap
+        bits = np.ones((1, 700), dtype=bool)  # dense phase, then a sparse tail
         assert _kernels.chain_lengths(bits[None], C=1)[0] == 700
         k, start, rows = _kernels.longest_chain_with_witness(bits, C=1)
         assert (k, start) == (700, 0)
@@ -50,6 +68,69 @@ class TestDeepRunFallbacks:
         res = longest_run_length(sm, C=1)
         assert res.length == 2600
         assert check_chain(res.witness, sm, 1) == 2600
+
+
+def _switch_layer(bits, C):
+    """First layer k whose step to layer k+1 is sparse under the current switch."""
+    cur, k = bits, 1
+    while cur.any() and cur.sum() * _kernels._SPARSE_RATIO >= cur.size:
+        cur, k = _kernels._chain_step(bits, cur, C), k + 1
+    return k
+
+
+class TestPhaseEquivalence:
+    """Both stages against the forced-dense engine, on stacks whose trials die
+    on both sides of the switch."""
+
+    @staticmethod
+    def _stacks(rng, count):
+        for case in range(count):
+            T, m, n = (int(rng.integers(1, 7)), int(rng.integers(1, 7)),
+                       int(rng.integers(1, 41)))
+            C = int(rng.integers(0, 3))
+            U = int(rng.integers(1, n + 1))
+            # per trial, sparse noise that dies at once or dense runs that outlive the switch
+            density = rng.choice([0.1, 0.9], size=(T, 1, 1))
+            z = rng.random((T, m, n)) < density
+            # small integers: equal sums within and across lengths force the tie rules
+            x = np.where(z, rng.integers(1, 4, size=(T, m, n)), 0).astype(float)
+            center = (0.0, null_conditional_mean(DEFAULT_X_STAR))[case % 2]
+            yield x, z, C, U, center
+
+    def test_chain_and_scan_ends_match_dense(self, rng, phase):
+        mixed = 0
+        for x, z, C, U, center in self._stacks(rng, 400):
+            phase(DENSE)
+            lengths, ends = _kernels._chain_ends(z, C)
+            values, scan_ends, us = _kernels._scan_ends(x, z, C, U, center)
+            phase(64)
+            switch = _switch_layer(z, C)
+            mixed += bool(lengths[lengths > 0].min(initial=switch) < switch <= lengths.max())
+            for ratio in (SPARSE, 4, 64):
+                phase(ratio)
+                got_lengths, got_ends = _kernels._chain_ends(z, C)
+                got_values, got_scan_ends, got_us = _kernels._scan_ends(x, z, C, U, center)
+                assert np.array_equal(got_lengths, lengths)
+                assert np.array_equal(got_ends, ends)
+                assert np.array_equal(got_values, values)
+                assert np.array_equal(got_scan_ends, scan_ends)
+                assert np.array_equal(got_us, us)
+        assert mixed >= 20  # stacks with a trial dead before the switch and one after
+
+    def test_tied_chains_keep_the_row_major_first_end(self, phase):
+        # trial 0: equal 3-runs ending at (2, 3) and (0, 6); the later column wins
+        # by row-major order. Trial 1 keeps only the first run.
+        z = np.zeros((2, 3, 8), dtype=bool)
+        z[:, 2, 1:4] = True
+        z[0, 0, 4:7] = True
+        x = np.where(z, 1.0, 0.0)
+        for ratio in (SPARSE, DENSE):
+            phase(ratio)
+            lengths, ends = _kernels._chain_ends(z, 0)
+            values, scan_ends, us = _kernels._scan_ends(x, z, 0, 8, 0.0)
+            assert lengths.tolist() == [3, 3] and ends.tolist() == [6, 19]
+            assert us.tolist() == [3, 3] and scan_ends.tolist() == [6, 19]
+            assert values.tolist() == [3 / math.sqrt(3)] * 2
 
 
 class TestScanEarlyExit:
@@ -82,3 +163,14 @@ class TestStackViews:
                                            for t in range(T)]
                 assert lengths.tolist() == [_kernels.longest_chain_with_witness(z[t], C)[0]
                                             for t in range(T)]
+
+
+class TestBernoulliStack:
+    def test_chunked_draw_is_one_draw(self, monkeypatch):
+        # odd chunks split float32 draws inside trials and inside 64-bit outputs
+        monkeypatch.setattr(_kernels, "_BATCH_CELLS", 7)
+        for shape in ((0, 3, 4), (1, 5, 9), (3, 4, 6)):
+            rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+            bits = _kernels.bernoulli_stack(rng, *shape, 0.3)
+            assert np.array_equal(bits, ref.random(shape, dtype=np.float32) < 0.3)
+            assert rng.random() == ref.random()  # the stream continues in step

@@ -55,14 +55,16 @@ class TestLongestRun:
         res = longest_run_length(sm, C=1, witness=False)
         assert res.length == 5 and res.witness is None
 
-    @pytest.mark.parametrize("cap", [1, 4, 512])
-    def test_tie_witness_independent_of_engine(self, cap, monkeypatch):
+    @pytest.mark.parametrize("ratio", [1, 4, 512])
+    def test_tie_witness_independent_of_engine(self, ratio, monkeypatch):
         # two disjoint 5-runs: the witness ends at the row-major first endpoint
-        # whether layer propagation or the column sweep finds it
-        monkeypatch.setattr(_kernels, "_PROP_CAP", cap)
+        # whichever phase finds it. Layer 1 has 14 of 56 cells live, so the
+        # switch ratio 1 goes sparse at once, 4 after one dense step, 512 never.
+        monkeypatch.setattr(_kernels, "_SPARSE_RATIO", ratio)
         bits = np.zeros((4, 14), dtype=bool)
         bits[0, 8:13] = True
         bits[3, 2:7] = True
+        bits[:, 0] = True  # four 1-node runs
         res = longest_run_length(SignificanceMap(bits), C=0)
         assert res.witness == ChainPath(9, (1, 1, 1, 1, 1))
 

@@ -8,8 +8,9 @@ every output bit-identical should print the same lines on both.
 The script imports ``chainscan`` from the ``src`` directory beside it and
 takes no flags. It covers configuration reprs, every CLI command's output and
 ``--help`` text, detection on seeded null and planted grids, frame mode and
-alarm calibration at 50x50, the batched kernels and witnesses, and the stdout
-of every demo. It runs in about a minute on two cores.
+alarm calibration at 50x50, the batched kernels and witnesses, the null grids
+of the complexity criterion, and the stdout of every demo. It runs in about a
+minute on two cores.
 """
 
 from __future__ import annotations
@@ -234,6 +235,32 @@ def kernels() -> None:
     deep[1, :, 700] = False
     emit("kernels/deep", _kernels.chain_lengths(deep, 1).tobytes()
          + repr(_kernels.longest_chain_with_witness(deep[1], 1)).encode())
+    # a monte-carlo-sized batch whose trials end on both sides of the layer
+    # loops' dense/sparse switch: sparse noise, null noise, nothing, deep chains
+    x = rng(20, 27).standard_normal((6, 10, 2000))
+    z = x > X_STAR
+    z[2] = x[2] > 2.5
+    z[3] = False
+    for t, length in ((4, 300), (5, 1200)):
+        rows = cs.generate_chain(10, 2000, 1, length, seed=t).rows
+        cols = np.arange(100, 100 + length)
+        x[t, np.asarray(rows) - 1, cols] += 4.0
+        z[t] = x[t] > X_STAR
+    center = cs.null_conditional_mean(X_STAR)
+    parts = [_kernels.chain_lengths(z, 1).tobytes(),
+             _kernels.scan_values(x, z, 1, 120, center).tobytes()]
+    for t in range(len(x)):
+        parts.append(repr(_kernels.longest_chain_with_witness(z[t], 1)).encode())
+        parts.append(repr(_kernels.scan_best_single(x[t], z[t], 1, 120, center)).encode())
+    emit("kernels/batch-across-switch", b"|".join(parts))
+
+
+def complexity_grids() -> None:
+    """Library ``detect`` on the null grids of ``test_criterion_complexity``."""
+    config = cs.make_config(10)
+    for n, seed in ((10**6, 22), (2 * 10**6, 200)):
+        emit(f"detect/complexity-n{n}", payload(cs.detect(cs.generate_null_grid(10, n, seed=seed),
+                                                          config)))
 
 
 def demos() -> None:
@@ -256,4 +283,5 @@ if __name__ == "__main__":
     library_detect()
     frames()
     kernels()
+    complexity_grids()
     demos()
