@@ -14,8 +14,9 @@ stage) through :func:`_successors`, so its cost follows the live cells, as
 in sparse dynamic programming (Eppstein, Galil, Giancarlo & Italiano, J. ACM
 39, 1992). Both phases keep the same end and tie rules, so no output depends
 on which phase found it. One backtrack rebuilds the witness of either stage
-(the run stage's with all-zero intensities), so a run witness follows one
-tie rule at any depth.
+from the end its loop found (the run stage's with all-zero intensities), so
+a run length and its witness come from one pass and follow one tie rule at
+any depth.
 """
 
 from __future__ import annotations
@@ -155,13 +156,17 @@ def _chain_ends(bits: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
     return lengths, ends
 
 
-def chain_lengths(bits: np.ndarray, C: int) -> np.ndarray:
+def chain_lengths(bits: np.ndarray, C: int, ends: np.ndarray | None = None) -> np.ndarray:
     """Longest significant chain length per trial for a (T, m, n) boolean stack
-    (a 2-D map counts as one trial)."""
+    (a 2-D map counts as one trial). ``ends``, T int64 entries when given,
+    receives each trial's end from the same pass, as :func:`_chain_ends` gives it."""
     bits = np.asarray(bits, dtype=bool)
     if bits.ndim == 2:
         bits = bits[None]
-    return _chain_ends(bits, C)[0]
+    lengths, found = _chain_ends(bits, C)
+    if ends is not None:
+        ends[:] = found
+    return lengths
 
 
 def longest_chain_with_witness(bits2d: np.ndarray, C: int) -> tuple[int, int | None, list[int]]:
@@ -173,11 +178,11 @@ def longest_chain_with_witness(bits2d: np.ndarray, C: int) -> tuple[int, int | N
     bit is set.
     """
     bits = np.asarray(bits2d, dtype=bool)
-    lengths, ends = _chain_ends(bits[None], C)
-    k = int(lengths[0])
+    end = np.zeros(1, dtype=np.int64)
+    k = int(chain_lengths(bits, C, end)[0])
     if k == 0:
         return 0, None, []
-    i, j = divmod(int(ends[0]), bits.shape[1])
+    i, j = divmod(int(end[0]), bits.shape[1])
     # all-zero intensities: a finite chain sum means the node is reachable
     return k, j - k + 1, backtrack(np.broadcast_to(0.0, bits.shape), bits, C, i, j, k)
 
@@ -276,26 +281,27 @@ def scan_best_single(x2d: np.ndarray, z2d: np.ndarray, C: int, U: int,
 def backtrack(x2d: np.ndarray, z2d: np.ndarray, C: int, i: int, j: int, u: int) -> list[int]:
     """Rows (0-based) of a chain of u nodes ending at (i, j) with the best sum.
 
-    Sweeps the chain's u columns forward, one m-vector per column, with the
-    sums of :func:`_scan_step`, then walks back to the smallest row whose sum
-    matches bit for bit.
+    Sweeps the chain's u columns forward, one contiguous m-vector per column,
+    with the sums of :func:`_scan_step`, then walks back on Python floats (the
+    same IEEE adds) to the smallest row whose sum matches bit for bit.
     """
     x = np.asarray(x2d, dtype=np.float64)
     z = np.asarray(z2d, dtype=bool)
     m = x.shape[0]
     lo = j - u + 1
-    xs, zs = x[:, lo : j + 1].T, z[:, lo : j + 1].T
-    sums = np.full((u, m), NEG_INF)
-    sums[0] = np.where(zs[0], xs[0], NEG_INF)
+    # NEG_INF off the significant cells: a finite x plus NEG_INF is already NEG_INF
+    xs = np.where(z[:, lo : j + 1], x[:, lo : j + 1], NEG_INF).T.reshape(u, m, 1)
+    sums = xs.copy()
     for c in range(1, u):
-        prev = dilate_rows_max(sums[c - 1 : c].T, C)[:, 0]
-        np.add(xs[c], prev, out=sums[c], where=zs[c] & (prev > NEG_INF))
+        np.add(xs[c], dilate_rows_max(sums[c - 1], C), out=sums[c])
+    xs, sums = xs.reshape(u, m).tolist(), sums.reshape(u, m).tolist()
     rows = [i]
     r = i
     for c in range(u - 1, 0, -1):
+        x_r, prev, target = xs[c][r], sums[c - 1], sums[c][r]
         for pr in range(max(0, r - C), min(m, r + C + 1)):
             # recompute the forward addition so the comparison is bit-exact
-            if xs[c, r] + sums[c - 1, pr] == sums[c, r]:
+            if x_r + prev[pr] == target:
                 break
         else:  # pragma: no cover - the forward sweep guarantees a predecessor
             raise AssertionError("backtrack lost the chain")

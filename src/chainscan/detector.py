@@ -186,15 +186,16 @@ def detect(grid: ImageGrid, config: DetectorConfig) -> DetectionResult:
     """Run the two-step detector on one grid.
 
     Deterministic: identical grid and configuration give identical results.
-    The witness is the chain behind whichever statistic decided.
+    The witness is the chain behind whichever statistic decided. The run
+    stage runs once per grid: its one pass gives the length and the Step I
+    witness.
     """
     _check_geometry(config, grid)
     thr = _thresholds_for(config, grid.m, grid.n)
     sig = significance_map(grid, config.x_star)
-    run = longest_run_length(sig, config.C, witness=False)
+    run = longest_run_length(sig, config.C)
     if run.length > thr.step1:
-        witness = longest_run_length(sig, config.C, witness=True).witness
-        return DetectionResult(True, "step1", run.length, None, thr, witness)
+        return DetectionResult(True, "step1", run.length, None, thr, run.witness)
     scan = scan_statistic(grid, sig, config.C, _scan_cap(config, grid.m, grid.n),
                           center=null_conditional_mean(config.x_star))
     if scan.value > thr.step2:

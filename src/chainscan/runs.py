@@ -31,14 +31,13 @@ class RunResult:
 def longest_run_length(sig_map: SignificanceMap, C: int, witness: bool = True) -> RunResult:
     """Exact longest significant chain length under drift bound C.
 
-    With ``witness=True`` a maximal chain is reconstructed by backtracking:
-    it ends at the row-major first cell (smallest row, then smallest column)
-    that ends a longest chain, and each earlier node takes the smallest row
-    that keeps the chain, whatever the depth of the run. ``witness=False``
-    skips the backtrack. Either way the length comes from layer propagation:
-    dense passes while many cells still end a chain, then a pass over the
-    live cells only, so the cost follows the answer and the live cells at
-    any depth.
+    The length comes from one pass of layer propagation: dense steps while
+    many cells still end a chain, then steps over the live cells only, so
+    the cost follows the answer and the live cells at any depth. With ``witness=True`` the same pass also gives the row-major
+    first cell (smallest row, then smallest column) that ends a longest
+    chain, and a backtrack from it rebuilds the witness: each earlier node
+    takes the smallest row that keeps the chain. ``witness=False`` skips the
+    backtrack.
     """
     if C < 0:
         raise ValueError(f"drift bound C must be >= 0, got {C}")

@@ -118,6 +118,26 @@ class TestDetect:
             assert res.x_star_s == batched
             assert res.x_star_s < raw
 
+    def test_one_run_stage_pass_per_grid(self, config10, monkeypatch):
+        # Step I takes its length, end and witness from one run-stage pass, and a
+        # grid that reaches Step II runs that pass once too
+        calls = []
+        chain_ends = _kernels._chain_ends
+        monkeypatch.setattr(_kernels, "_chain_ends",
+                            lambda *a: calls.append(1) or chain_ends(*a))
+        base = generate_null_grid(10, 2000, seed=1)
+        grid = embed_chain(base, generate_chain(10, 2000, 1, 600, seed=2), 4.0)
+        null = generate_null_grid(10, 2000, seed=9)
+        for g, stage in ((grid, "step1"), (null, "none")):
+            calls.clear()
+            res = detect(g, config10)
+            assert res.deciding_stage == stage and len(calls) == 1
+        sig = significance_map(grid, config10.x_star)
+        res = detect(grid, config10)
+        assert res.l0_length > 400  # deep past the dense/sparse switch
+        assert res.witness == longest_run_length(sig, config10.C).witness
+        assert check_chain(res.witness, sig, config10.C) == res.l0_length
+
     def test_u_override_validated(self):
         cfg = make_config(10, U_override=100)
         grid = generate_null_grid(10, 50, seed=1)

@@ -133,6 +133,52 @@ class TestPhaseEquivalence:
             assert values.tolist() == [3 / math.sqrt(3)] * 2
 
 
+def _best_sums(x, z, C):
+    """Best sum of every significant chain by (end row, end column, node count),
+    by enumerating every chain from every start."""
+    m, n = z.shape
+    best = {}
+
+    def extend(r, c, u, total):
+        key = (r, c, u)
+        best[key] = max(best.get(key, -math.inf), total)
+        for r2 in range(max(0, r - C), min(m, r + C + 1)):
+            if c + 1 < n and z[r2, c + 1]:
+                extend(r2, c + 1, u + 1, total + x[r2, c + 1])
+
+    for c in range(n):
+        for r in range(m):
+            if z[r, c]:
+                extend(r, c, 1, x[r, c])
+    return best
+
+
+class TestBacktrackTieRule:
+    def test_matches_exhaustive_oracle(self, rng):
+        # small integers tie many chains; walking back, each node must take the
+        # smallest row that keeps the best sum, for every end and length
+        checked = 0
+        for case in range(60):
+            m, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            C = case % 3
+            z = rng.random((m, n)) < rng.uniform(0.4, 0.9)
+            x = rng.integers(-1, 3, size=(m, n)).astype(float) * (case % 4 > 0)
+            best = _best_sums(x, z, C)
+            for (i, j, u), total in best.items():
+                rows = [i]
+                for c in range(j, j - u + 1, -1):
+                    v = u - (j - c)
+                    target = best[(rows[-1], c, v)] - x[rows[-1], c]
+                    rows.append(next(r for r in range(max(0, rows[-1] - C),
+                                                      min(m, rows[-1] + C + 1))
+                                     if best.get((r, c - 1, v - 1)) == target))
+                got = _kernels.backtrack(x, z, C, i, j, u)
+                assert got == rows[::-1]
+                assert sum(x[r, j - u + 1 + k] for k, r in enumerate(got)) == total
+                checked += 1
+        assert checked > 500
+
+
 class TestScanEarlyExit:
     def test_cap_beyond_longest_chain_is_harmless(self, rng):
         x = rng.standard_normal((4, 12))

@@ -1,0 +1,104 @@
+"""Run the benchmark in alternating pairs on a parent checkout and on this one.
+
+    python tools/bench_pair.py --parent ../parent --workloads strong-chain frames \
+        --seeds 0 1 2 3 4 --seconds 15 --out BENCH_<n>.json
+
+For every workload and seed, ``bench/run.py --trace 0`` runs once in each
+checkout, each in its own process from that checkout's root, so each side
+imports its own ``src/``. Even seeds run the parent first, odd seeds this
+checkout first, so a drift in machine load falls on both sides alike. The
+JSON written to ``--out`` holds every run's end-to-end metrics, the median of
+each metric per workload and side, the number of pairs in which this checkout
+did better on each metric (the direction is the one ``BENCHMARK.json`` gives),
+and the machine: nproc, Python and numpy versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``bench/run.py`` process in ``checkout``: its last stdout line, parsed."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    out = json.loads(lines[-1])
+    return {"correct": out["correct"], "attempted": out["attempted"], "failed": out["failed"],
+            "metrics": {name: m["value"] for name, m in out["metrics"].items()}}
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> tuple[dict, dict]:
+    """Medians per workload, side and metric, and per workload and metric the
+    number of pairs in which the change did better than the parent."""
+    medians, wins = {}, {}
+    for wl in dict.fromkeys(r["workload"] for r in runs):
+        mine = [r for r in runs if r["workload"] == wl]
+        names = list(mine[0]["metrics"])
+        medians[wl] = {side: {name: statistics.median(r["metrics"][name] for r in mine
+                                                      if r["side"] == side)
+                              for name in names}
+                       for side in SIDES}
+        pairs = {}
+        for r in mine:
+            pairs.setdefault(r["seed"], {})[r["side"]] = r["metrics"]
+        wins[wl] = {"pairs": len(pairs)}
+        for name in names:
+            sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+            wins[wl][name] = sum(sign * (p["change"][name] - p["parent"][name]) > 0
+                                 for p in pairs.values())
+    return medians, wins
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path,
+                        help="root of the checkout to compare against")
+    parser.add_argument("--workloads", nargs="+", required=True)
+    parser.add_argument("--seeds", nargs="+", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--out", required=True, type=Path)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    runs = []
+    for wl in args.workloads:
+        for seed in args.seeds:
+            order = SIDES if seed % 2 == 0 else SIDES[::-1]
+            for side in order:
+                run = run_once(checkouts[side], wl, seed, args.seconds)
+                runs.append({"workload": wl, "seed": seed, "side": side, **run})
+                print(f"{wl} seed {seed} {side}: "
+                      + ", ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items())
+                      + f", failed {run['failed']}", file=sys.stderr, flush=True)
+    medians, wins = summarize(runs, better)
+    report = {
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "platform": platform.platform()},
+        "seconds": args.seconds, "seeds": args.seeds,
+        "runs": runs, "medians": medians, "change_better_pairs": wins,
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
