@@ -49,7 +49,6 @@ from .rates import (
     build_transfer_operator,
     estimate_area_rate,
     estimate_run_rate,
-    neighborhood,
     perron_root,
     resolve_run_rate,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "min_detectable_mean_log_length",
     "min_detectable_mean_power_law",
     "min_detectable_mean_sqrt_length",
-    "neighborhood",
     "normal_cdf",
     "normal_quantile",
     "null_conditional_mean",

@@ -33,10 +33,11 @@ def longest_run_length(sig_map: SignificanceMap, C: int, witness: bool = True) -
 
     The length comes from one pass of layer propagation: dense steps while
     many cells still end a chain, then steps over the live cells only, so
-    the cost follows the answer and the live cells at any depth. With ``witness=True`` the same pass also gives the row-major
-    first cell (smallest row, then smallest column) that ends a longest
-    chain, and a backtrack from it rebuilds the witness: each earlier node
-    takes the smallest row that keeps the chain. ``witness=False`` skips the
+    the cost follows the answer and the live cells at any depth. With
+    ``witness=True`` the same pass also gives the row-major first cell
+    (smallest row, then smallest column) that ends a longest chain, and a
+    backtrack from it rebuilds the witness: each earlier node takes the
+    smallest row that keeps the chain. ``witness=False`` skips the
     backtrack.
     """
     if C < 0:

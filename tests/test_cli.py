@@ -58,6 +58,13 @@ class TestRhoCommand:
         assert code == 0
         assert out.strip().endswith("monte-carlo")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_is_argument_error(self, tol):
+        code, out, err = run_cli("rho", "--m", "4", "--C", "1", "--p", "0.2", "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "finite and positive" in err
+
     def test_capacity_error_is_argument_error(self):
         code, _, err = run_cli("rho", "--m", "30", "--C", "1", "--p", "0.1")
         assert code == 2

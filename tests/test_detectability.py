@@ -160,9 +160,14 @@ class TestLogLengthMean:
             min_detectable_mean_log_length(2, 10, 0.5, x_star=X_STAR)
 
     def test_sqrt_variant_looser_than_power_law(self):
-        # the scan-cut variant for length c*sqrt(n) exists and exceeds zero
-        mu = min_detectable_mean_sqrt_length(10**4, 10, 1.0, x_star=X_STAR)
-        assert 0.5 < mu < 3.0
+        # for a chain of length c*sqrt(n) the scan-cut bound asks for a larger
+        # mean than the power-law bound at alpha = 1/2, zeta = c
+        rho = 0.2749  # exact run rate for m=10, C=1, p=0.1
+        for n in (10**3, 10**4, 10**5, 10**6):
+            for c in (0.5, 1.0, 2.0, 5.0):
+                sqrt_mu = min_detectable_mean_sqrt_length(n, 10, c, x_star=X_STAR)
+                power_mu = min_detectable_mean_power_law(n, 10, 1, rho, 0.5, c, x_star=X_STAR)
+                assert sqrt_mu > power_mu, (n, c, sqrt_mu, power_mu)
 
 
 class TestDecisionThresholds:

@@ -8,36 +8,91 @@ from chainscan import (
     build_transfer_operator,
     estimate_area_rate,
     estimate_run_rate,
-    neighborhood,
     perron_root,
     resolve_run_rate,
 )
 from chainscan import rates
 
 
+def _mask(rows):
+    """Bitmask of a set of 1-based rows: row r is bit r - 1."""
+    return sum(1 << (r - 1) for r in rows)
+
+
+def _nonempty_subsets(m):
+    """Every nonempty row set of [1, m], in bitmask order (mask 1 first)."""
+    return [frozenset(i + 1 for i in range(m) if mask >> i & 1) for mask in range(1, 1 << m)]
+
+
+def _neighborhood(rows, C, m):
+    """Union of drift windows: every row of [1, m] within C of some row in ``rows``."""
+    return frozenset(r for a in rows for r in range(max(1, a - C), min(m, a + C) + 1))
+
+
+def _dense_oracle(m, C, p):
+    """The operator from its definition, on Python row sets:
+    K(A, A') = p^|A'| (1-p)^(|N(A)|-|A'|) for nonempty A' inside N(A), else 0.
+    Rows and columns are the nonempty row sets in bitmask order."""
+    states = _nonempty_subsets(m)
+    K = np.zeros((len(states), len(states)))
+    for i, a in enumerate(states):
+        nb = _neighborhood(a, C, m)
+        for j, b in enumerate(states):
+            if b <= nb:
+                K[i, j] = p ** len(b) * (1 - p) ** (len(nb) - len(b))
+    return K
+
+
+def _columns(op):
+    """The operator's own matrix: column j is ``matvec`` of the unit vector of mask j."""
+    size = 1 << op.m
+    cols = np.zeros((size - 1, size - 1))
+    for j in range(1, size):
+        e = np.zeros(size)
+        e[j] = 1.0
+        cols[:, j - 1] = op.matvec(e)[1:]
+    return cols
+
+
+def _entry(op, state, nxt):
+    """K(state, nxt), read off ``matvec`` of the unit vector of ``nxt``."""
+    e = np.zeros(1 << op.m)
+    e[_mask(nxt)] = 1.0
+    return op.matvec(e)[_mask(state)]
+
+
 class TestNeighborhood:
+    """The drift-neighborhood table ``_nb`` on the cases of the definition."""
+
     def test_interior(self):
-        assert neighborhood({2}, C=1, m=4) == {1, 2, 3}
+        assert build_transfer_operator(4, 1, 0.1)._nb[_mask({2})] == _mask({1, 2, 3})
 
     def test_boundary_clipping(self):
-        assert neighborhood({1}, C=1, m=10) == {1, 2}
+        assert build_transfer_operator(10, 1, 0.1)._nb[_mask({1})] == _mask({1, 2})
 
     def test_full_set_absorbing(self):
+        full = _mask(range(1, 8))
         for C in (1, 2, 5):
-            assert neighborhood(set(range(1, 8)), C=C, m=7) == set(range(1, 8))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            neighborhood(set(), C=1, m=4)
+            assert build_transfer_operator(7, C, 0.1)._nb[full] == full
 
     def test_union_of_windows(self):
-        assert neighborhood({1, 5}, C=1, m=6) == {1, 2, 4, 5, 6}
+        op = build_transfer_operator(6, 1, 0.1)
+        assert op._nb[_mask({1, 5})] == _mask({1, 2, 4, 5, 6})
+
+    def test_empty_set_is_not_a_state(self):
+        op = build_transfer_operator(4, 1, 0.3)
+        assert op._nb[0] == 0
+        v = np.ones(1 << 4)
+        out = op.matvec(v)
+        v[0] = 123.0
+        assert out[0] == 0.0
+        assert op.matvec(v).tobytes() == out.tobytes()
 
 
 class TestTransferOperator:
     def test_single_row_is_p(self):
         op = build_transfer_operator(1, 1, 0.37)
-        assert op.entry({1}, {1}) == pytest.approx(0.37)
+        assert _entry(op, {1}, {1}) == pytest.approx(0.37)
         assert perron_root(op).value == pytest.approx(0.37, abs=1e-12)
 
     def test_two_rows_rank_one(self):
@@ -45,38 +100,38 @@ class TestTransferOperator:
         op = build_transfer_operator(2, 1, p)
         # all three rows identical: the full neighborhood is reached from any state
         for state in ({1}, {2}, {1, 2}):
-            assert op.entry(state, {1, 2}) == pytest.approx(p * p)
-            assert op.entry(state, {1}) == pytest.approx(p * (1 - p))
-            assert op.entry(state, {2}) == pytest.approx(p * (1 - p))
+            assert _entry(op, state, {1, 2}) == pytest.approx(p * p)
+            assert _entry(op, state, {1}) == pytest.approx(p * (1 - p))
+            assert _entry(op, state, {2}) == pytest.approx(p * (1 - p))
         assert perron_root(op).value == pytest.approx(1 - (1 - p) ** 2, abs=1e-10)
 
     def test_entries_outside_neighborhood_vanish(self):
         op = build_transfer_operator(5, 1, 0.2)
-        assert op.entry({1}, {4}) == 0.0
-        assert op.entry({1}, {1, 2, 3}) == 0.0
+        assert _entry(op, {1}, {4}) == 0.0
+        assert _entry(op, {1}, {1, 2, 3}) == 0.0
 
     def test_row_sums_strictly_substochastic(self):
-        op = build_transfer_operator(4, 1, 0.5)
-        dense = op.to_dense()
-        sums = dense.sum(axis=1)
+        m, C, p = 4, 1, 0.5
+        op = build_transfer_operator(m, C, p)
+        ones = np.ones(1 << m)
+        sums = op.matvec(ones)[1:]
         assert (sums > 0).all() and (sums < 1).all()
         # closed form: 1 - (1-p)^{|N(A)|}
-        for rows in ({1}, {2, 3}, {1, 2, 3, 4}):
-            assert op.row_sum(rows) == pytest.approx(
-                sum(op.entry(rows, s) for s in _nonempty_subsets(4)), abs=1e-12
-            )
+        want = [1 - (1 - p) ** len(_neighborhood(a, C, m)) for a in _nonempty_subsets(m)]
+        assert sums == pytest.approx(want, abs=1e-12)
+        assert _dense_oracle(m, C, p).sum(axis=1) == pytest.approx(want, abs=1e-12)
 
-    def test_dense_matches_entry(self):
-        op = build_transfer_operator(3, 1, 0.25)
-        dense = op.to_dense()
-        subsets = _nonempty_subsets(3)
-        for a, rows_a in enumerate(subsets):
-            for b, rows_b in enumerate(subsets):
-                assert dense[a, b] == pytest.approx(op.entry(rows_a, rows_b), abs=1e-15)
+    @pytest.mark.parametrize("m,C,p", [(1, 1, 0.37), (3, 1, 0.25), (4, 2, 0.1), (5, 1, 0.3),
+                                       (6, 2, 0.05), (7, 3, 0.5)])
+    def test_columns_match_definition(self, m, C, p):
+        cols = _columns(build_transfer_operator(m, C, p))
+        dense = _dense_oracle(m, C, p)
+        assert ((cols == 0) == (dense == 0)).all()
+        assert np.allclose(cols, dense, rtol=1e-12, atol=0)
 
     def test_matvec_matches_dense(self, rng):
         op = build_transfer_operator(5, 2, 0.3)
-        dense = op.to_dense()
+        dense = _dense_oracle(5, 2, 0.3)
         v = np.zeros(1 << 5)
         v[1:] = rng.random(31)
         out = op.matvec(v)
@@ -88,10 +143,8 @@ class TestTransferOperator:
             op = build_transfer_operator(m, C, 0.1)
             assert op._pop.tolist() == [bin(a).count("1") for a in range(1 << m)]
             assert op._nb[0] == 0
-            for a in range(1, 1 << m):
-                rows = [r + 1 for r in range(m) if a >> r & 1]
-                want = sum(1 << (r - 1) for r in neighborhood(rows, C, m))
-                assert op._nb[a] == want, (m, C, rows)
+            for a, rows in enumerate(_nonempty_subsets(m), start=1):
+                assert op._nb[a] == _mask(_neighborhood(rows, C, m)), (m, C, rows)
 
     @pytest.mark.parametrize("C,p", [(1, 0.1), (2, 0.05), (1, 0.3)])
     def test_matvec_bit_identical_to_plain_zeta(self, rng, C, p):
@@ -119,13 +172,6 @@ class TestTransferOperator:
             build_transfer_operator(4, 1, 0.0)
         with pytest.raises(ValueError):
             build_transfer_operator(0, 1, 0.1)
-
-
-def _nonempty_subsets(m):
-    out = []
-    for mask in range(1, 1 << m):
-        out.append({i + 1 for i in range(m) if (mask >> i) & 1})
-    return out
 
 
 def _brute_across_probability(m, n, C, p):
@@ -165,7 +211,7 @@ class TestPerronRoot:
         for m, p in ((3, 0.15), (4, 0.35), (6, 0.5)):
             op = build_transfer_operator(m, 1, p)
             lam = perron_root(op, tol=1e-12).value
-            dense = max(abs(np.linalg.eigvals(op.to_dense())))
+            dense = max(abs(np.linalg.eigvals(_dense_oracle(m, 1, p))))
             assert lam == pytest.approx(dense, abs=1e-9)
 
     def test_ratio_sequence_converges_to_root(self):
@@ -176,14 +222,23 @@ class TestPerronRoot:
         p_next = op.across_probability(25)
         assert p_next / p_prev == pytest.approx(lam, abs=1e-9)
 
+    def test_ratio_converges_past_dense_range(self):
+        # m = 14 has 16,383 states: only the matvec path reaches it
+        op = build_transfer_operator(14, 1, 0.1)
+        lam = perron_root(op, tol=1e-13).value
+        ratio = op.across_probability(201) / op.across_probability(200)
+        assert ratio == pytest.approx(lam, abs=1e-9)
+
     def test_method_label_and_provenance(self):
         r = perron_root(build_transfer_operator(3, 2, 0.2))
         assert r.method == "exact-spectral"
         assert (r.m, r.C, r.p) == (3, 2, 0.2)
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            perron_root(build_transfer_operator(2, 1, 0.3), tol=0.0)
+        op = build_transfer_operator(4, 1, 0.2)
+        for tol in (0.0, -1e-10, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                perron_root(op, tol=tol)
 
 
 class TestMonotonicity:
@@ -206,8 +261,7 @@ class TestMonotonicity:
             assert v >= p - 1e-12
 
     def test_permutation_similarity(self, rng):
-        op = build_transfer_operator(4, 1, 0.3)
-        dense = op.to_dense()
+        dense = _dense_oracle(4, 1, 0.3)
         perm = rng.permutation(dense.shape[0])
         shuffled = dense[np.ix_(perm, perm)]
         lam = max(abs(np.linalg.eigvals(dense)))
@@ -237,6 +291,15 @@ class TestMonteCarloRate:
             estimate_run_rate(4, 1, 0.2, n_cols=500, trials=10, seed=0)
         with pytest.raises(ValueError):
             estimate_run_rate(4, 1, 0.2, n_cols=2000, trials=0, seed=0)
+
+    def test_drift_bound_guard_matches_exact(self):
+        # one domain on both sides of MAX_EXACT_ROWS, with the exact path's message
+        with pytest.raises(ValueError, match=r"need C >= 1, got 0"):
+            resolve_run_rate(10, 0, 0.1)
+        with pytest.raises(ValueError, match=r"need C >= 1, got 0"):
+            resolve_run_rate(21, 0, 0.1, seed=1)
+        with pytest.raises(ValueError, match=r"need C >= 1, got -1"):
+            estimate_run_rate(4, -1, 0.2, n_cols=2000, trials=5, seed=0)
 
     def test_resolve_switches_method(self, monkeypatch):
         exact = resolve_run_rate(4, 1, 0.2)
