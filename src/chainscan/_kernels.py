@@ -7,16 +7,16 @@ Each stage has one exact layer loop that returns per-trial values and ends:
 ``_chain_ends`` for the run stage and ``_scan_ends`` for the scan stage. A
 single-grid call is a T=1 view of its stage's loop. Layer k holds the cells
 that end a chain of k nodes, and its live cells fall geometrically with k.
-While at least 1/``_SPARSE_RATIO`` of the stack's cells are live, a layer
-step is a dense pass over the whole stack; after that the loop follows the
-sorted flat indices of the live cells (with their chain sums in the scan
-stage) through :func:`_successors`, so its cost follows the live cells, as
-in sparse dynamic programming (Eppstein, Galil, Giancarlo & Italiano, J. ACM
-39, 1992). Both phases keep the same end and tie rules, so no output depends
-on which phase found it. One backtrack rebuilds the witness of either stage
-from the end its loop found (the run stage's with all-zero intensities), so
-a run length and its witness come from one pass and follow one tie rule at
-any depth.
+The scan loop follows the sorted flat indices of the live cells, with their
+chain sums, through :func:`_successors` from layer 1 on, so its cost follows
+the live cells, as in sparse dynamic programming (Eppstein, Galil, Giancarlo
+& Italiano, J. ACM 39, 1992). The run loop takes dense passes over the whole
+stack while at least 1/``_SPARSE_RATIO`` of its cells are live, and follows
+the live cells after that; both phases keep the same end rule, so no length
+or end depends on which phase found it. One backtrack rebuilds the witness
+of either stage from the end its loop found (the run stage's with all-zero
+intensities), so a run length and its witness come from one pass and follow
+one tie rule at any depth.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 NEG_INF = float("-inf")
 
-# A layer step is dense while at least 1/_SPARSE_RATIO of the stack's cells are live.
+# A run-stage layer step is dense while at least 1/_SPARSE_RATIO of the stack's cells are live.
 _SPARSE_RATIO = 64
 
 # Grid cells per trial batch: 1 MB per float64 array, so a batch stays in cache.
@@ -56,17 +56,6 @@ def _chain_step(bits: np.ndarray, cur: np.ndarray, C: int) -> np.ndarray:
     nxt = np.zeros_like(cur)
     nxt[..., 1:] = bits[..., 1:] & dilate_rows_max(cur, C)[..., :-1]
     return nxt
-
-
-def _scan_step(x: np.ndarray, z: np.ndarray, layer: np.ndarray, C: int) -> int:
-    """Scan layer u+1 from layer u on (..., m, n), in place: the best sum of a
-    chain one node longer ending at each significant cell, NEG_INF where
-    unreachable. Returns the number of reachable cells."""
-    prev = dilate_rows_max(layer, C)
-    reach = z[..., 1:] & (prev[..., :-1] > NEG_INF)
-    layer.fill(NEG_INF)
-    np.add(x[..., 1:], prev[..., :-1], out=layer[..., 1:], where=reach)
-    return np.count_nonzero(reach)
 
 
 def _firsts(a: np.ndarray) -> np.ndarray:
@@ -187,69 +176,55 @@ def longest_chain_with_witness(bits2d: np.ndarray, C: int) -> tuple[int, int | N
     return k, j - k + 1, backtrack(np.broadcast_to(0.0, bits.shape), bits, C, i, j, k)
 
 
-def _keep_better(values: np.ndarray, ends: np.ndarray, us: np.ndarray, trials: np.ndarray,
-                 top: np.ndarray, arg: np.ndarray, u: int, center: float) -> None:
-    """Score layer u's maxima ``top`` (at ends ``arg``) of ``trials`` and keep
-    each score that strictly beats the trial's best so far."""
-    score = (top - center * u) / math.sqrt(u)
-    better = score > values[trials]
-    trials = trials[better]
-    values[trials], ends[trials], us[trials] = score[better], arg[better], u
-
-
 def _scan_ends(x: np.ndarray, z: np.ndarray, C: int, U: int,
                center: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Capped scan maximum per trial of (T, m, n) stacks, the flat index of the
     cell that ends the best chain, and that chain's length.
 
-    Layers indexed by chain length u: layer u holds the best significant-chain
-    sum of length u ending at each node, NEG_INF where unreachable. Stops as
-    soon as a layer is entirely unreachable (longer chains cannot exist).
-    Each layer scores (best_u - center*u)/sqrt(u). A trial's end and length
-    change only when its score strictly improves, so ties go to the smallest
-    u, then to row-major node order.
+    Layers indexed by chain length u: layer u holds the live cells (sorted
+    flat indices into the :func:`_padded` layout) that end a significant chain
+    of u nodes, with the best sum of such a chain. Layer 1 is scored at any U;
+    the loop stops after layer U or at the first empty layer (longer chains
+    cannot exist). Each layer scores (best_u - center*u)/sqrt(u) at the
+    trial's row-major first maximum, and a trial's end and length change only
+    when its score strictly improves, so ties go to the smallest u, then to
+    row-major node order.
     """
     T, m, n = x.shape
     mn = m * n
-    trials = np.arange(T)
-    layer = np.where(z, x, NEG_INF)
-    ends = layer.reshape(T, mn).argmax(axis=1)
-    values = layer.reshape(T, mn)[trials, ends] - center
+    values = np.full(T, NEG_INF)
+    ends = np.zeros(T, dtype=np.int64)
     us = np.ones(T, dtype=np.int64)
-    u, live = 2, np.count_nonzero(z)
-    while u <= U and live and live * _SPARSE_RATIO >= layer.size:
-        live = _scan_step(x, z, layer, C)
-        flat = layer.reshape(T, mn)
-        arg = flat.argmax(axis=1)
-        _keep_better(values, ends, us, trials, flat[trials, arg], arg, u, center)
-        u += 1
-    if not (live and u <= U):
-        return values, ends, us
-    cells = np.flatnonzero(layer > NEG_INF)
-    sums = layer.reshape(-1)[cells]
-    cells = _padded_index(cells, m, n, C)
     zp = _padded(z, C)
-    bounds = np.arange(T + 1) * ((m + 2 * C) * (n + 1))
+    bounds = np.arange(T + 1) * ((m + 2 * C) * (n + 1))  # trial t: [bounds[t], bounds[t+1])
     xs = x.reshape(-1)
-    for u in range(u, U + 1):
-        succ, sig = _successors(cells, zp, n, C)
-        if not succ.size:
-            break
-        order = np.argsort(succ, kind="stable")
-        succ = succ[order]
-        heads = np.flatnonzero(_firsts(succ))
-        cells = succ[heads]
-        at = _unpadded(cells, m, n, C)
-        # the best predecessor, then x once: rounding is monotone, so this
-        # equals the dense step's sum bit for bit
-        pred = np.broadcast_to(sums, sig.shape)[sig][order]
-        sums = np.maximum.reduceat(pred, heads) + xs[at]
+    cells = np.flatnonzero(zp)
+    at = _unpadded(cells, m, n, C)
+    sums = xs[at]
+    u = 1
+    while cells.size:
         starts = np.searchsorted(cells, bounds)
         t = np.flatnonzero(starts[1:] > starts[:-1])
         top = np.maximum.reduceat(sums, starts[t])
         hits = np.flatnonzero(sums == np.repeat(top, np.diff(starts)[t]))
         first = hits[np.searchsorted(hits, starts[t])]  # each trial's row-major first maximum
-        _keep_better(values, ends, us, t, top, at[first] - t * mn, u, center)
+        score = (sums[first] - center * u) / math.sqrt(u)
+        better = score > values[t]
+        t = t[better]
+        values[t], ends[t], us[t] = score[better], at[first[better]] - t * mn, u
+        if u >= U:
+            break
+        succ, sig = _successors(cells, zp, n, C)
+        order = np.argsort(succ, kind="stable")
+        succ = succ[order]
+        heads = np.flatnonzero(_firsts(succ))
+        cells = succ[heads]
+        at = _unpadded(cells, m, n, C)
+        # the best predecessor, then x once: rounding is monotone, so each sum
+        # is the same IEEE add as in backtrack's forward sweep
+        pred = np.broadcast_to(sums, sig.shape)[sig][order]
+        sums = np.maximum.reduceat(pred, heads) + xs[at]
+        u += 1
     return values, ends, us
 
 
@@ -282,7 +257,7 @@ def backtrack(x2d: np.ndarray, z2d: np.ndarray, C: int, i: int, j: int, u: int) 
     """Rows (0-based) of a chain of u nodes ending at (i, j) with the best sum.
 
     Sweeps the chain's u columns forward, one contiguous m-vector per column,
-    with the sums of :func:`_scan_step`, then walks back on Python floats (the
+    with the sums of :func:`_scan_ends`, then walks back on Python floats (the
     same IEEE adds) to the smallest row whose sum matches bit for bit.
     """
     x = np.asarray(x2d, dtype=np.float64)

@@ -182,6 +182,8 @@ def estimate_run_rate(
     trial, and averages the per-trial estimator n^(-1/length). Trials with
     no significant chain are skipped.
     """
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     if C < 1:
         raise ValueError(f"need C >= 1, got {C}")
     if n_cols < 1000:

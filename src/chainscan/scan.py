@@ -55,11 +55,11 @@ def scan_statistic(
     """Exact capped scan statistic via the length-indexed recursion.
 
     Layer u holds the best length-u significant-chain sum ending at each
-    node; cells where no such chain exists are unreachable. A layer costs
-    O(C*m*n) while at least 1/64 of the cells are reachable and O(C) per
-    reachable cell after that, so the worst case is O(C*m*n*U); the loop
-    stops early once every cell of a layer is unreachable (no longer chain
-    can exist). ``center`` is subtracted per node before normalizing; it
+    node; cells where no such chain exists are unreachable. The loop keeps
+    only the reachable cells, so a layer costs O(C) per reachable cell (a
+    log factor for sorting them) and the worst case is O(C*m*n*U); it stops
+    early once every cell of a layer is unreachable (no longer chain can
+    exist). ``center`` is subtracted per node before normalizing; it
     shifts every layer-u sum by the same amount, so the chain behind each
     layer's maximum does not depend on it.
     """

@@ -65,6 +65,13 @@ class TestRhoCommand:
         assert out == ""
         assert "finite and positive" in err
 
+    def test_mc_without_rows_is_argument_error(self):
+        code, out, err = run_cli("rho", "--m", "0", "--C", "1", "--p", "0.1", "--method", "mc",
+                                 "--seed", "1", "--ncols", "2000", "--trials", "2")
+        assert code == 2
+        assert out == ""
+        assert "need m >= 1, got 0" in err
+
     def test_capacity_error_is_argument_error(self):
         code, _, err = run_cli("rho", "--m", "30", "--C", "1", "--p", "0.1")
         assert code == 2

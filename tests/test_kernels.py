@@ -1,4 +1,5 @@
-"""Deep-run paths, dense/sparse phase equivalence and stack views of the engines."""
+"""Deep-run paths, the run stage's dense/sparse phase equivalence, the scan loop
+against a dense oracle, and stack views of the engines."""
 
 import math
 
@@ -14,13 +15,14 @@ from chainscan import (
 )
 from conftest import check_chain
 
-# _SPARSE_RATIO values: every step after layer 1 sparse, or every step dense
+# _SPARSE_RATIO values: every run-stage step after layer 1 sparse, or every step dense
 SPARSE, DENSE = 0, math.inf
 
 
 @pytest.fixture
 def phase(monkeypatch):
-    """Sets the dense/sparse switch of both layer loops for the rest of a test."""
+    """Sets the run stage's dense/sparse switch for the rest of a test; the
+    scan stage's loop is sparse from layer 1 and has no switch."""
     return lambda ratio: monkeypatch.setattr(_kernels, "_SPARSE_RATIO", ratio)
 
 
@@ -78,9 +80,36 @@ def _switch_layer(bits, C):
     return k
 
 
+def _dense_scan_ends(x, z, C, U, center):
+    """Values, ends and lengths of the capped scan, one trial at a time on dense
+    layers: layer 1 is x on the significant cells, and layer u is x plus the max
+    of layer u-1 over the +/-C rows one column left, NEG_INF off the significant
+    cells. A trial's best changes only on a strict improvement, at the row-major
+    first argmax of the layer; layer 1 is scored at any U."""
+    T, m, n = x.shape
+    values = np.full(T, -math.inf)
+    ends = np.zeros(T, dtype=np.int64)
+    us = np.ones(T, dtype=np.int64)
+    for t in range(T):
+        layer, u = np.where(z[t], x[t], -math.inf), 1
+        while True:
+            arg = int(layer.argmax())
+            score = (layer.flat[arg] - center * u) / math.sqrt(u)
+            if score > values[t]:
+                values[t], ends[t], us[t] = score, arg, u
+            if u >= U or not (layer > -math.inf).any():
+                break
+            prev = np.array([layer[max(0, r - C) : r + C + 1].max(axis=0) for r in range(m)])
+            layer = np.full((m, n), -math.inf)
+            layer[:, 1:] = np.where(z[t][:, 1:], x[t][:, 1:] + prev[:, :-1], -math.inf)
+            u += 1
+    return values, ends, us
+
+
 class TestPhaseEquivalence:
-    """Both stages against the forced-dense engine, on stacks whose trials die
-    on both sides of the switch."""
+    """The run stage against its forced-dense engine, on stacks whose trials die
+    on both sides of the switch, and the scan loop against a dense oracle on
+    the same stacks."""
 
     @staticmethod
     def _stacks(rng, count):
@@ -102,19 +131,19 @@ class TestPhaseEquivalence:
         for x, z, C, U, center in self._stacks(rng, 400):
             phase(DENSE)
             lengths, ends = _kernels._chain_ends(z, C)
-            values, scan_ends, us = _kernels._scan_ends(x, z, C, U, center)
             phase(64)
             switch = _switch_layer(z, C)
             mixed += bool(lengths[lengths > 0].min(initial=switch) < switch <= lengths.max())
             for ratio in (SPARSE, 4, 64):
                 phase(ratio)
                 got_lengths, got_ends = _kernels._chain_ends(z, C)
-                got_values, got_scan_ends, got_us = _kernels._scan_ends(x, z, C, U, center)
                 assert np.array_equal(got_lengths, lengths)
                 assert np.array_equal(got_ends, ends)
-                assert np.array_equal(got_values, values)
-                assert np.array_equal(got_scan_ends, scan_ends)
-                assert np.array_equal(got_us, us)
+            values, scan_ends, us = _dense_scan_ends(x, z, C, U, center)
+            got_values, got_scan_ends, got_us = _kernels._scan_ends(x, z, C, U, center)
+            assert np.array_equal(got_values, values)
+            assert np.array_equal(got_scan_ends, scan_ends)
+            assert np.array_equal(got_us, us)
         assert mixed >= 20  # stacks with a trial dead before the switch and one after
 
     def test_tied_chains_keep_the_row_major_first_end(self, phase):

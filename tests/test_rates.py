@@ -301,6 +301,13 @@ class TestMonteCarloRate:
         with pytest.raises(ValueError, match=r"need C >= 1, got -1"):
             estimate_run_rate(4, -1, 0.2, n_cols=2000, trials=5, seed=0)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_row_count_guard_matches_exact(self, m):
+        with pytest.raises(ValueError, match=rf"need m >= 1, got {m}"):
+            estimate_run_rate(m, 1, 0.2, n_cols=2000, trials=2, seed=0)
+        with pytest.raises(ValueError, match=rf"need m >= 1, got {m}"):
+            build_transfer_operator(m, 1, 0.2)
+
     def test_resolve_switches_method(self, monkeypatch):
         exact = resolve_run_rate(4, 1, 0.2)
         assert exact.method == "exact-spectral"

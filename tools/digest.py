@@ -8,7 +8,8 @@ every output bit-identical should print the same lines on both.
 The script imports ``chainscan`` from the ``src`` directory beside it and
 takes no flags. It covers configuration reprs, every CLI command's output and
 ``--help`` text, detection on seeded null and planted grids, frame mode and
-alarm calibration at 50x50, the batched kernels and witnesses, the null grids
+alarm calibration at 50x50, the batched kernels and witnesses (also on
+stacks with about 0.2-0.3 of their cells significant), the null grids
 of the complexity criterion, and the stdout of every demo. It runs in about a
 minute on two cores.
 """
@@ -235,8 +236,8 @@ def kernels() -> None:
     deep[1, :, 700] = False
     emit("kernels/deep", _kernels.chain_lengths(deep, 1).tobytes()
          + repr(_kernels.longest_chain_with_witness(deep[1], 1)).encode())
-    # a monte-carlo-sized batch whose trials end on both sides of the layer
-    # loops' dense/sparse switch: sparse noise, null noise, nothing, deep chains
+    # a monte-carlo-sized batch whose trials end on both sides of the run
+    # stage's dense/sparse switch: sparse noise, null noise, nothing, deep chains
     x = rng(20, 27).standard_normal((6, 10, 2000))
     z = x > X_STAR
     z[2] = x[2] > 2.5
@@ -253,6 +254,25 @@ def kernels() -> None:
         parts.append(repr(_kernels.longest_chain_with_witness(z[t], 1)).encode())
         parts.append(repr(_kernels.scan_best_single(x[t], z[t], 1, 120, center)).encode())
     emit("kernels/batch-across-switch", b"|".join(parts))
+
+
+def dense_fraction_stacks() -> None:
+    """Batched kernels and single-grid views on 4x10x300 stacks dense enough that
+    a layer loop with a dense phase would stay in it for several layers: x* =
+    0.5244 (p about 0.3) at C = 1 and x* = 0.92 (p about 0.18) at C = 2."""
+    for x_star, C in ((0.5244, 1), (0.92, 2)):
+        for seed in range(3):
+            x = rng(20, 28, seed, C).standard_normal((4, 10, 300))
+            z = x > x_star
+            emit(f"kernels/dense-x{x_star}-C{C}-seed{seed}-runs",
+                 _kernels.chain_lengths(z, C).tobytes()
+                 + repr([_kernels.longest_chain_with_witness(b, C) for b in z]).encode())
+            for U, center in ((300, 0.0), (300, cs.null_conditional_mean(x_star)), (5, 0.0)):
+                parts = [_kernels.scan_values(x, z, C, U, center).tobytes()]
+                parts += [repr(_kernels.scan_best_single(x[t], z[t], C, U, center)).encode()
+                          for t in range(len(x))]
+                emit(f"kernels/dense-x{x_star}-C{C}-seed{seed}-U{U}-c{center:.4f}",
+                     b"|".join(parts))
 
 
 def complexity_grids() -> None:
@@ -283,5 +303,6 @@ if __name__ == "__main__":
     library_detect()
     frames()
     kernels()
+    dense_fraction_stacks()
     complexity_grids()
     demos()
