@@ -23,7 +23,7 @@ from .detectability import (
 from .detector import detect, detect_frames, make_config
 from .errors import ParseError
 from .grid import load_csv_grid, load_pgm_grid
-from .rates import MAX_EXACT_ROWS, build_transfer_operator, estimate_run_rate, perron_root
+from .rates import build_transfer_operator, estimate_run_rate, perron_root
 from .scan import UNREACHABLE
 from .simulate import ExperimentSpec, LengthLaw, config_for, estimate_power, estimate_type1
 
@@ -97,10 +97,9 @@ def _load_grid(path: str | Path):
 
 
 def _build_config(args, m: int):
-    needs_seed = m > MAX_EXACT_ROWS or args.regime == "growing-m"
-    if needs_seed and args.seed is None:
+    if args.regime == "growing-m" and args.seed is None:
         raise ValueError(
-            "--seed is required when the run rate or area rate must be estimated "
+            "--seed is required with --regime growing-m: the area rate is estimated "
             "by Monte Carlo (no hidden entropy)"
         )
     return make_config(
@@ -230,7 +229,7 @@ def _add_detector_flags(sp) -> None:
     sp.add_argument("--u-cap", type=int, default=None,
                     help="override the scan length cap")
     sp.add_argument("--seed", type=int, default=None,
-                    help="seed for Monte Carlo rate resolution when needed")
+                    help="seed for the Monte Carlo area rate of --regime growing-m")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -93,10 +93,11 @@ def make_config(
 ) -> DetectorConfig:
     """Resolve a configuration for m-row grids.
 
-    The run rate is computed exactly when the row count permits, by Monte
-    Carlo otherwise (seeded). In the growing-rows regime the area rate is
-    estimated on a fixed ladder of lattice sizes. To use rates already at
-    hand, build a :class:`DetectorConfig` directly.
+    The run rate is computed exactly when the row count permits and
+    extrapolated from exact roots otherwise, so it never depends on ``seed``.
+    In the growing-rows regime the area rate is estimated by seeded Monte
+    Carlo on a fixed ladder of lattice sizes. To use rates already at hand,
+    build a :class:`DetectorConfig` directly.
     """
     p = 1.0 - normal_cdf(x_star)
     if p <= 0.0:
@@ -104,7 +105,7 @@ def make_config(
             f"x_star = {x_star:g} leaves no pixel significant under the standard "
             "normal null; standardize intensities or lower the threshold"
         )
-    run_rate = resolve_run_rate(m, C, p, seed=seed)
+    run_rate = resolve_run_rate(m, C, p)
     area_rate = None
     if regime == GROWING_ROWS:
         area_rate = estimate_area_rate(p, C, _DEFAULT_AREA_SIZES, trials=24, seed=seed)

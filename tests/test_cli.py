@@ -158,12 +158,21 @@ class TestDetectCommand:
         code, _, err = run_cli("detect", "--input", "x.csv", "--bogus", "1")
         assert code == 2
 
-    def test_rows_past_exact_rate_need_seed(self, tmp_path):
+    def test_rows_past_exact_rate_need_no_seed(self, tmp_path):
         path = tmp_path / "g.csv"
         write_csv_grid(generate_null_grid(21, 30, seed=2), path)
         code, out, err = run_cli("detect", "--input", str(path))
+        assert code == 0, err
+        for seed in ("1", "2"):
+            assert run_cli("detect", "--input", str(path), "--seed", seed) == (0, out, "")
+        json.loads(out)
+
+    def test_growing_rows_need_seed(self, tmp_path):
+        path = tmp_path / "g.csv"
+        write_csv_grid(generate_null_grid(10, 30, seed=2), path)
+        code, out, err = run_cli("detect", "--input", str(path), "--regime", "growing-m")
         assert code == 2 and out == ""
-        assert "--seed" in err
+        assert "--seed" in err and "area rate" in err
 
 
 class TestFramesCommand:

@@ -15,7 +15,7 @@ from chainscan import (
     scan_statistic,
     significance_map,
 )
-from chainscan import _kernels
+from chainscan import _kernels, rates
 from chainscan.detector import _scan_cap
 from conftest import check_chain
 
@@ -47,6 +47,16 @@ class TestConfig:
     def test_rejects_unknown_regime(self, config10):
         with pytest.raises(ValueError):
             make_config(4, regime="sideways")
+
+    def test_rows_past_exact_rate_simulate_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run rate was estimated by Monte Carlo")
+
+        monkeypatch.setattr(rates, "estimate_run_rate", refuse)
+        assert make_config(50).run_rate.method == "exact-extrapolated"
+
+    def test_rows_past_exact_rate_ignore_seed(self):
+        assert make_config(50, seed=0).run_rate == make_config(50, seed=3).run_rate
 
 
 class TestDetect:

@@ -297,7 +297,7 @@ class TestMonteCarloRate:
         with pytest.raises(ValueError, match=r"need C >= 1, got 0"):
             resolve_run_rate(10, 0, 0.1)
         with pytest.raises(ValueError, match=r"need C >= 1, got 0"):
-            resolve_run_rate(21, 0, 0.1, seed=1)
+            resolve_run_rate(21, 0, 0.1)
         with pytest.raises(ValueError, match=r"need C >= 1, got -1"):
             estimate_run_rate(4, -1, 0.2, n_cols=2000, trials=5, seed=0)
 
@@ -312,10 +312,29 @@ class TestMonteCarloRate:
         exact = resolve_run_rate(4, 1, 0.2)
         assert exact.method == "exact-spectral"
         assert exact == perron_root(build_transfer_operator(4, 1, 0.2))
-        monkeypatch.setattr(rates, "MAX_EXACT_ROWS", 3)  # m = 4 is now past the guard
-        mc = resolve_run_rate(4, 1, 0.2, seed=1)
-        assert mc.method == "monte-carlo"
-        assert mc == estimate_run_rate(4, 1, 0.2, seed=1)
+        monkeypatch.setattr(rates, "MAX_EXACT_ROWS", 16)  # m = 17 is now past the guard
+        assert resolve_run_rate(16, 1, 0.2).method == "exact-spectral"
+        fit = resolve_run_rate(17, 1, 0.2)
+        assert fit.method == "exact-extrapolated"
+        monkeypatch.setattr(rates, "MAX_EXACT_ROWS", 20)
+        assert abs(fit.value - perron_root(build_transfer_operator(17, 1, 0.2)).value) < 1e-6
+
+
+class TestExtrapolatedRate:
+    def test_wider_drift_window_near_exact(self, monkeypatch):
+        monkeypatch.setattr(rates, "MAX_EXACT_ROWS", 16)
+        fit = resolve_run_rate(17, 2, 0.1)
+        monkeypatch.setattr(rates, "MAX_EXACT_ROWS", 20)
+        exact = perron_root(build_transfer_operator(17, 2, 0.1))
+        assert fit.method == "exact-extrapolated"
+        assert abs(fit.value - exact.value) < 5e-6
+
+    def test_increases_past_the_exact_roots(self):
+        exact = perron_root(build_transfer_operator(16, 1, 0.1)).value
+        at21 = resolve_run_rate(21, 1, 0.1)
+        at50 = resolve_run_rate(50, 1, 0.1)
+        assert exact < at21.value < at50.value
+        assert (at21.m, at21.C, at21.p, at21.method) == (21, 1, 0.1, "exact-extrapolated")
 
 
 class TestAreaRate:

@@ -6,7 +6,8 @@ every output bit-identical should print the same lines on both.
     python tools/digest.py > digest.txt
 
 The script imports ``chainscan`` from the ``src`` directory beside it and
-takes no flags. It covers configuration reprs, every CLI command's output and
+takes no flags. It covers configuration reprs, run rates past the exact
+operator's row guard, every CLI command's output and
 ``--help`` text, detection on seeded null and planted grids, frame mode and
 alarm calibration at 50x50, the batched kernels and witnesses (also on
 stacks with about 0.2-0.3 of their cells significant), the null grids
@@ -75,6 +76,8 @@ def configs() -> None:
     emit("make_config/m50-seed0", repr(cs.make_config(50, seed=0)))
     emit("make_config/growing-m12-seed5",
          repr(cs.make_config(12, regime="growing-m", seed=5)))
+    for m, C, p in ((21, 1, 0.1), (50, 1, 0.1), (30, 1, 0.2), (50, 2, 0.1)):
+        emit(f"resolve_run_rate/m{m}-C{C}-p{p}", repr(cs.resolve_run_rate(m, C, p)))
 
 
 def commands(tmp: Path) -> None:
