@@ -23,7 +23,13 @@ from .detectability import (
 from .detector import detect, detect_frames, make_config
 from .errors import ParseError
 from .grid import load_csv_grid, load_pgm_grid
-from .rates import build_transfer_operator, estimate_run_rate, perron_root
+from .rates import (
+    MAX_EXACT_ROWS,
+    build_transfer_operator,
+    estimate_run_rate,
+    perron_root,
+    resolve_run_rate,
+)
 from .scan import UNREACHABLE
 from .simulate import ExperimentSpec, LengthLaw, config_for, estimate_power, estimate_type1
 
@@ -49,8 +55,10 @@ def _cmd_rho(args) -> int:
             raise ValueError("--seed is required with --method mc (no hidden entropy)")
         rate = estimate_run_rate(args.m, args.C, args.p, n_cols=args.ncols,
                                  trials=args.trials, seed=args.seed)
-    else:
+    elif args.m <= MAX_EXACT_ROWS:
         rate = perron_root(build_transfer_operator(args.m, args.C, args.p), tol=args.tol)
+    else:
+        rate = resolve_run_rate(args.m, args.C, args.p)
     _emit(args, [f"{args.m},{args.C},{args.p:g},{rate.value:.4f},{rate.method}"])
     return 0
 
@@ -244,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--C", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--method", choices=["exact", "mc"], default="exact")
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=float, default=1e-10,
+                    help="width of the certified bracket around the exact root; "
+                         f"the extrapolated rate past m = {MAX_EXACT_ROWS} does not use it")
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--ncols", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=None)

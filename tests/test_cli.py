@@ -72,10 +72,17 @@ class TestRhoCommand:
         assert out == ""
         assert "need m >= 1, got 0" in err
 
-    def test_capacity_error_is_argument_error(self):
-        code, _, err = run_cli("rho", "--m", "30", "--C", "1", "--p", "0.1")
+    def test_rows_past_exact_rate_are_extrapolated(self):
+        code, out, err = run_cli("rho", "--m", "30", "--C", "1", "--p", "0.1")
+        rate = chainscan.resolve_run_rate(30, 1, 0.1)
+        assert code == 0 and err == ""
+        assert out == f"30,1,0.1,{rate.value:.4f},exact-extrapolated\n"
+
+    def test_extrapolation_limit_is_argument_error(self):
+        code, out, err = run_cli("rho", "--m", "21", "--C", "1", "--p", "0.8")
         assert code == 2
-        assert "monte-carlo" in err
+        assert out == ""
+        assert "extrapolated run rate" in err and "not below 1" in err
 
 
 class TestMuTableCommand:
@@ -102,6 +109,13 @@ class TestMuTableCommand:
         _, out, _ = run_cli("mu-table", "--mode", "log", "--m", "10", "--C", "1",
                             "--xstar", "1.2816")
         assert len(out.strip().splitlines()) == 7
+
+    def test_capacity_error_is_argument_error(self):
+        code, out, err = run_cli("mu-table", "--mode", "power", "--m", "30", "--C", "1",
+                                 "--xstar", "1.2816")
+        assert code == 2
+        assert out == ""
+        assert "resolve_run_rate" in err
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "t.csv"
@@ -330,5 +344,5 @@ class TestExitCodes:
 
     def test_stdout_purity(self, tmp_path):
         # diagnostics never leak into stdout
-        code, out, err = run_cli("rho", "--m", "50", "--C", "1", "--p", "0.1")
+        code, out, err = run_cli("rho", "--m", "21", "--C", "1", "--p", "0.8")
         assert code == 2 and out == ""

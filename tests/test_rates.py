@@ -5,6 +5,7 @@ import pytest
 
 from chainscan import (
     CapacityError,
+    ConvergenceError,
     build_transfer_operator,
     estimate_area_rate,
     estimate_run_rate,
@@ -162,7 +163,7 @@ class TestTransferOperator:
             assert op.matvec(v).tobytes() == want.tobytes()
 
     def test_capacity_guard(self):
-        with pytest.raises(CapacityError, match="monte-carlo"):
+        with pytest.raises(CapacityError, match="resolve_run_rate"):
             build_transfer_operator(21, 1, 0.1)
 
     def test_bad_arguments(self):
@@ -228,6 +229,29 @@ class TestPerronRoot:
         lam = perron_root(op, tol=1e-13).value
         ratio = op.across_probability(201) / op.across_probability(200)
         assert ratio == pytest.approx(lam, abs=1e-9)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_small_geometries_match_dense_eig(self, m):
+        # m <= 2 has one neighborhood class, and from m = 3 the all-ones start,
+        # symmetric under row reflection, spans an invariant subspace smaller
+        # than the class count (2 of 3 classes at m = 3, C = 1): the basis stops
+        # at the relative breakdown test
+        for C in (1, 2, 3):
+            for p in (0.05, 0.3, 0.5):
+                lam = perron_root(build_transfer_operator(m, C, p)).value
+                dense = max(abs(np.linalg.eigvals(_dense_oracle(m, C, p))))
+                assert abs(lam - dense) <= 1e-10, (m, C, p, lam, dense)
+
+    def test_tolerance_bounds_the_error(self):
+        op = build_transfer_operator(14, 1, 0.1)
+        coarse = perron_root(op, tol=1e-10).value
+        fine = perron_root(op, tol=1e-13).value
+        assert abs(coarse - fine) <= 1e-10
+
+    def test_unreached_tolerance_reports_restarts_and_bracket(self, monkeypatch):
+        monkeypatch.setattr(rates, "_MAX_RESTARTS", 2)
+        with pytest.raises(ConvergenceError, match=r"2 restarts; last bracket width \d"):
+            perron_root(build_transfer_operator(10, 1, 0.1), tol=1e-300)
 
     def test_method_label_and_provenance(self):
         r = perron_root(build_transfer_operator(3, 2, 0.2))
@@ -328,6 +352,11 @@ class TestExtrapolatedRate:
         exact = perron_root(build_transfer_operator(17, 2, 0.1))
         assert fit.method == "exact-extrapolated"
         assert abs(fit.value - exact.value) < 5e-6
+
+    def test_rate_reaching_one_names_the_fit(self):
+        # at p = 0.8 the exact roots lie within 1e-6 of 1 and the fit crosses it
+        with pytest.raises(ValueError, match=r"extrapolated run rate .* is not below 1"):
+            resolve_run_rate(21, 1, 0.8)
 
     def test_increases_past_the_exact_roots(self):
         exact = perron_root(build_transfer_operator(16, 1, 0.1)).value
