@@ -17,6 +17,12 @@ or end depends on which phase found it. One backtrack rebuilds the witness
 of either stage from the end its loop found (the run stage's with all-zero
 intensities), so a run length and its witness come from one pass and follow
 one tie rule at any depth.
+
+The Monte Carlo loops draw their stacks through :func:`drawn_ahead`: one
+batch of :func:`trial_batches` is drawn ahead on one worker thread while the
+caller scores the current one. The worker alone calls the generator, in the
+loop's order, so every output is bit-identical to a sequential loop; there
+is no option to set.
 """
 
 from __future__ import annotations
@@ -39,6 +45,34 @@ def trial_batches(trials: int, m: int, n: int):
     size = max(1, _BATCH_CELLS // (m * n))
     for start in range(0, trials, size):
         yield min(size, trials - start)
+
+
+def drawn_ahead(draw, sizes):
+    """Yield ``draw(size)`` for each item of ``sizes``, in order, drawing the
+    next batch on one worker thread while the caller works on the current one.
+
+    Only the worker calls ``draw`` while the loop runs, one call at a time and
+    in the order of ``sizes``, so a ``draw`` over a numpy ``Generator`` gives
+    the same values as a sequential loop, bit for bit. Generator fills and
+    the kernels' numpy calls release the interpreter lock, so the draw of
+    batch k + 1 overlaps the scoring of batch k; the cost is one batch held
+    ahead. An exception from ``draw`` reaches the caller unchanged. The worker
+    is joined when the loop ends, when the generator is closed, and when
+    either side raises.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes = iter(sizes)
+    size = next(sizes, None)
+    if size is None:
+        return
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = worker.submit(draw, size)
+        for size in sizes:
+            batch = pending.result()
+            pending = worker.submit(draw, size)
+            yield batch
+        yield pending.result()
 
 
 def dilate_rows_max(cur: np.ndarray, C: int) -> np.ndarray:

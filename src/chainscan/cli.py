@@ -67,7 +67,7 @@ def _resolve_table_rate(args) -> float:
     if args.rho is not None:
         return args.rho
     p = 1.0 - normal_cdf(args.xstar)
-    return perron_root(build_transfer_operator(args.m, args.C, p)).value
+    return resolve_run_rate(args.m, args.C, p).value
 
 
 def _cmd_mu_table(args) -> int:

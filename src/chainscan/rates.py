@@ -170,7 +170,10 @@ def perron_root(op: TransferOperator, tol: float = 1e-10) -> RunRate:
     (Kx)_A/x_A (Collatz-Wielandt), and the ratios are the same for the full
     operator because x is class-constant. The midpoint is returned once that
     bracket is narrower than ``tol``, so ``tol`` bounds the error; otherwise
-    the next cycle restarts from the last iterate.
+    the next cycle restarts from the last iterate. A root within rounding of
+    1 (m = 8, C = 1, p = 0.99) returns the largest float below 1 when the
+    bracket holds it, and a bracket that lies wholly at or above 1 is a
+    ``ValueError``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -210,12 +213,26 @@ def perron_root(op: TransferOperator, tol: float = 1e-10) -> RunRate:
                 lo, hi = float(ratio.min()), float(ratio.max())
                 width = hi - lo
                 if width < tol:
-                    return RunRate(0.5 * (lo + hi), op.m, op.C, op.p, EXACT_METHOD)
+                    return RunRate(_below_one(lo, hi, op), op.m, op.C, op.p, EXACT_METHOD)
             x = y / np.linalg.norm(y)
     raise ConvergenceError(
         f"Arnoldi did not bracket the root within {tol} in {_MAX_RESTARTS} restarts; "
         f"last bracket width {width:.3g}"
     )
+
+
+def _below_one(lo: float, hi: float, op: TransferOperator) -> float:
+    """Midpoint of a certified bracket [lo, hi], or the largest float below 1
+    when the midpoint rounds to 1 (that float still lies in the bracket)."""
+    mid = 0.5 * (lo + hi)
+    if mid < 1.0:
+        return mid
+    if lo >= 1.0:
+        raise ValueError(
+            f"Perron root bracket [{lo}, {hi}] does not lie below 1 at m = {op.m}, "
+            f"C = {op.C}, p = {op.p}"
+        )
+    return float(np.nextafter(1.0, 0.0))
 
 
 def estimate_run_rate(
@@ -245,8 +262,9 @@ def estimate_run_rate(
         raise ValueError(f"need p in (0,1), got {p}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, m, C]))
     estimates = []
-    for t in _kernels.trial_batches(trials, m, n_cols):
-        lengths = _kernels.chain_lengths(_kernels.bernoulli_stack(rng, t, m, n_cols, p), C)
+    for bits in _kernels.drawn_ahead(lambda t: _kernels.bernoulli_stack(rng, t, m, n_cols, p),
+                                     _kernels.trial_batches(trials, m, n_cols)):
+        lengths = _kernels.chain_lengths(bits, C)
         estimates.extend(n_cols ** (-1.0 / float(s)) for s in lengths if s > 0)
     if not estimates:
         raise EstimationError("every trial produced an empty net; cannot estimate")
@@ -313,8 +331,9 @@ def estimate_area_rate(
     rate = None
     for m, n in sizes:
         ratios = []
-        for t in _kernels.trial_batches(trials, m, n):
-            lengths = _kernels.chain_lengths(_kernels.bernoulli_stack(rng, t, m, n, p), C)
+        for bits in _kernels.drawn_ahead(lambda t: _kernels.bernoulli_stack(rng, t, m, n, p),
+                                         _kernels.trial_batches(trials, m, n)):
+            lengths = _kernels.chain_lengths(bits, C)
             ratios.extend(float(s) / math.log(m * n) for s in lengths)
         mean_ratio = float(np.mean(ratios))
         if mean_ratio <= 0.0:

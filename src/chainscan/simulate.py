@@ -1,12 +1,17 @@
 """Monte Carlo harness: error-rate estimation and alarm calibration.
 
 Trials are drawn in batches of ``_kernels.trial_batches`` and scored by the
-detector's batched statistics path, the one frame mode uses. A rejection is
-the union event "longest run above its cut OR centered scan statistic above
-its cut", which is exactly the two-step detector's rejection region; trials
-that Step I already rejects are not scanned. Alarm calibration instead takes
-empirical quantiles of the raw scan statistic, the scale that frame mode
-scores.
+detector's batched statistics path, the one frame mode uses. Each loop draws
+one batch ahead on one worker thread (``_kernels.drawn_ahead``) while the
+current batch is scored; the draws come in the same order from the same
+generator, so every output is bit-identical to a sequential loop, and there
+is no option to set.
+
+A rejection is the union event "longest run above its cut OR centered scan
+statistic above its cut", which is exactly the two-step detector's rejection
+region; trials that Step I already rejects are not scanned. Alarm
+calibration instead takes empirical quantiles of the raw scan statistic, the
+scale that frame mode scores.
 """
 
 from __future__ import annotations
@@ -149,13 +154,13 @@ def _rejection_rate(spec: ExperimentSpec, config: DetectorConfig | None, stream:
     center = null_conditional_mean(config.x_star)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, stream]))
     hits = done = 0
-    for t in _kernels.trial_batches(spec.trials, spec.m, spec.n):
-        x = rng.standard_normal((t, spec.m, spec.n))
+    for x in _kernels.drawn_ahead(lambda t: rng.standard_normal((t, spec.m, spec.n)),
+                                  _kernels.trial_batches(spec.trials, spec.m, spec.n)):
         if plant is not None:
             plant(x, done)
         lengths, values = _stack_stats(x, config, cap, center, thr.step1)
         hits += int(((lengths > thr.step1) | (values > thr.step2)).sum())
-        done += t
+        done += len(x)
     return _estimate(hits, spec.trials, kind)
 
 
@@ -228,8 +233,9 @@ def calibrate_alarms(
     _require_agreement(config, (m, C, x_star), "call")
     cap = _scan_cap(config, m, n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
-    batches = [_stack_stats(rng.standard_normal((t, m, n)), config, cap)
-               for t in _kernels.trial_batches(trials, m, n)]
+    batches = [_stack_stats(x, config, cap)
+               for x in _kernels.drawn_ahead(lambda t: rng.standard_normal((t, m, n)),
+                                             _kernels.trial_batches(trials, m, n))]
     lengths, values = (np.concatenate(part) for part in zip(*batches))
     q = 1.0 - alpha / 2.0
     return float(np.quantile(lengths, q)), float(np.quantile(values, q))

@@ -110,12 +110,24 @@ class TestMuTableCommand:
                             "--xstar", "1.2816")
         assert len(out.strip().splitlines()) == 7
 
-    def test_capacity_error_is_argument_error(self):
+    def test_rate_past_exact_rows_is_extrapolated(self):
+        code, out, err = run_cli("mu-table", "--mode", "power", "--m", "30", "--C", "1",
+                                 "--xstar", "1.2816")
+        rate = chainscan.resolve_run_rate(30, 1, 1.0 - chainscan.normal_cdf(1.2816))
+        assert rate.method == "exact-extrapolated"
+        assert code == 0 and err == ""
+        assert out == run_cli("mu-table", "--mode", "power", "--m", "30", "--C", "1",
+                              "--xstar", "1.2816", "--rho", repr(rate.value))[1]
+
+    def test_capacity_error_is_argument_error(self, monkeypatch):
+        # with the guard below the fit's rows, the m = 30 rate needs an exact
+        # operator that build_transfer_operator refuses
+        monkeypatch.setattr(chainscan.rates, "MAX_EXACT_ROWS", 5)
         code, out, err = run_cli("mu-table", "--mode", "power", "--m", "30", "--C", "1",
                                  "--xstar", "1.2816")
         assert code == 2
         assert out == ""
-        assert "resolve_run_rate" in err
+        assert "exact operator guarded to m <= 5" in err
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "t.csv"

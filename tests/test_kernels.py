@@ -1,7 +1,11 @@
 """Deep-run paths, the run stage's dense/sparse phase equivalence, the scan loop
-against a dense oracle, and stack views of the engines."""
+against a dense oracle, stack views of the engines, and the draw-ahead loop."""
 
 import math
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -249,3 +253,81 @@ class TestBernoulliStack:
             bits = _kernels.bernoulli_stack(rng, *shape, 0.3)
             assert np.array_equal(bits, ref.random(shape, dtype=np.float32) < 0.3)
             assert rng.random() == ref.random()  # the stream continues in step
+
+
+class _Boom(Exception):
+    pass
+
+
+def _draw_normal(rng, t):
+    return rng.standard_normal((t, 6, 7))
+
+
+def _draw_bernoulli(rng, t):
+    return _kernels.bernoulli_stack(rng, t, 6, 7, 0.3)
+
+
+class TestDrawnAhead:
+    @pytest.mark.parametrize("draw", [_draw_normal, _draw_bernoulli])
+    @pytest.mark.parametrize("trials,batch_cells,sizes", [
+        (23, 5 * 42, [5, 5, 5, 5, 3]),  # a ragged last batch
+        (23, 1, [1] * 23),  # one trial per batch
+        (4, 1 << 17, [4]),  # a single batch
+    ])
+    def test_same_stream_as_sequential_draws(self, monkeypatch, draw, trials, batch_cells,
+                                             sizes):
+        monkeypatch.setattr(_kernels, "_BATCH_CELLS", batch_cells)
+        assert list(_kernels.trial_batches(trials, 6, 7)) == sizes
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        got = list(_kernels.drawn_ahead(lambda t: draw(rng, t),
+                                        _kernels.trial_batches(trials, 6, 7)))
+        want = [draw(ref, t) for t in sizes]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert rng.random() == ref.random()  # the stream continues in step
+
+    def test_no_sizes_no_batches(self):
+        assert list(_kernels.drawn_ahead(np.zeros, [])) == []
+
+    def test_worker_joined_when_the_loop_ends(self):
+        start = threading.active_count()
+        assert [len(b) for b in _kernels.drawn_ahead(np.zeros, [1, 2, 3])] == [1, 2, 3]
+        assert threading.active_count() == start
+
+    def test_worker_joined_after_early_exit(self):
+        def slow(t):
+            time.sleep(0.05)  # the next draw is still running when the loop leaves
+            return np.zeros(t)
+
+        start = threading.active_count()
+        for _ in _kernels.drawn_ahead(slow, [1, 2, 3]):
+            break
+        assert threading.active_count() == start
+        batches = _kernels.drawn_ahead(slow, [1, 2, 3])
+        next(batches)
+        batches.close()
+        assert threading.active_count() == start
+        with pytest.raises(_Boom):
+            for _ in _kernels.drawn_ahead(slow, [1, 2, 3]):
+                raise _Boom
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("fails_at", [1, 2, 3])
+    def test_draw_error_reaches_the_caller(self, fails_at):
+        def draw(t):
+            if t == fails_at:
+                raise _Boom(f"draw {t}")
+            return np.zeros(t)
+
+        start = threading.active_count()
+        with pytest.raises(_Boom, match=f"draw {fails_at}"):
+            list(_kernels.drawn_ahead(draw, [1, 2, 3]))
+        assert threading.active_count() == start
+
+    def test_import_loads_no_executor(self):
+        code = ("import sys, chainscan; "
+                "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures'")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import threading
 from itertools import product
 
 import numpy as np
@@ -242,6 +243,20 @@ class TestPerronRoot:
                 dense = max(abs(np.linalg.eigvals(_dense_oracle(m, C, p))))
                 assert abs(lam - dense) <= 1e-10, (m, C, p, lam, dense)
 
+    def test_root_within_rounding_of_one(self):
+        # the bracket's midpoint rounds to 1.0 here; the largest float below 1
+        # still lies in the bracket
+        lam = perron_root(build_transfer_operator(8, 1, 0.99)).value
+        dense = max(abs(np.linalg.eigvals(_dense_oracle(8, 1, 0.99))))
+        assert lam == np.nextafter(1.0, 0.0)
+        assert abs(lam - dense) <= 1e-10
+
+    def test_bracket_at_one_names_the_geometry(self, monkeypatch):
+        op = build_transfer_operator(3, 1, 0.2)
+        monkeypatch.setattr(op, "matvec", np.copy)  # root exactly 1
+        with pytest.raises(ValueError, match=r"not lie below 1 at m = 3, C = 1, p = 0\.2"):
+            perron_root(op)
+
     def test_tolerance_bounds_the_error(self):
         op = build_transfer_operator(14, 1, 0.1)
         coarse = perron_root(op, tol=1e-10).value
@@ -388,3 +403,26 @@ class TestAreaRate:
     def test_sizes_must_grow(self):
         with pytest.raises(ValueError, match="increase"):
             estimate_area_rate(0.1, 1, [(100, 100), (50, 50)], trials=4, seed=0)
+
+
+class TestDrawAheadWorker:
+    """The Monte Carlo rates join their draw-ahead worker on return and on error."""
+
+    CALLS = (lambda: estimate_run_rate(4, 1, 0.2, n_cols=1000, trials=6, seed=1),
+             lambda: estimate_area_rate(0.1, 1, [(20, 20), (30, 30)], trials=12, seed=1))
+
+    def test_worker_joined(self, monkeypatch):
+        monkeypatch.setattr(rates._kernels, "_BATCH_CELLS", 4000)  # several batches each
+        start = threading.active_count()
+        for call in self.CALLS:
+            call()
+            assert threading.active_count() == start
+
+        def fail(bits, C):
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(rates._kernels, "chain_lengths", fail)
+        for call in self.CALLS:
+            with pytest.raises(RuntimeError, match="scoring failed"):
+                call()
+            assert threading.active_count() == start

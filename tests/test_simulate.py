@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -156,6 +157,32 @@ class TestOneRule:
             hits = sum(stage != "none" for stage in decided)
             assert estimate(self.SPEC, config=config).rate == hits / self.SPEC.trials
         assert set(decided) == {"step1", "step2", "none"}  # the power stack tests both stages
+
+
+class TestDrawAheadWorker:
+    """The Monte Carlo loops join their draw-ahead worker on return and on error."""
+
+    def test_worker_joined(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_BATCH_CELLS", 6 * 50)  # one trial per batch
+        spec = ExperimentSpec(m=6, n=50, trials=50, seed=1)
+        config = config_for(spec)
+        calls = (lambda: estimate_type1(spec, config),
+                 lambda: estimate_power(spec, config=config),
+                 lambda: calibrate_alarms(6, 50, 1, config.x_star, alpha=1.0, trials=50,
+                                          seed=1, config=config))
+        start = threading.active_count()
+        for call in calls:
+            call()
+            assert threading.active_count() == start
+
+        def fail(*args):
+            raise RuntimeError("scoring failed")
+
+        monkeypatch.setattr(simulate_module, "_stack_stats", fail)
+        for call in calls:
+            with pytest.raises(RuntimeError, match="scoring failed"):
+                call()
+            assert threading.active_count() == start
 
 
 class TestEmbeddedSubRunLaw:

@@ -7,12 +7,12 @@ every output bit-identical should print the same lines on both.
 
 The script imports ``chainscan`` from the ``src`` directory beside it and
 takes no flags. It covers configuration reprs, run rates past the exact
-operator's row guard, every CLI command's output and
-``--help`` text, detection on seeded null and planted grids, frame mode and
-alarm calibration at 50x50, the batched kernels and witnesses (also on
-stacks with about 0.2-0.3 of their cells significant), the null grids
-of the complexity criterion, and the stdout of every demo. It runs in about a
-minute on two cores.
+operator's row guard, every CLI command's output and ``--help`` text,
+detection on seeded null and planted grids, frame mode and alarm calibration
+at 50x50, Monte Carlo calls that fit in one trial batch, the batched kernels
+and witnesses (also on stacks with about 0.2-0.3 of their cells
+significant), the null grids of the complexity criterion, and the stdout of
+every demo. It runs in about a minute on two cores.
 """
 
 from __future__ import annotations
@@ -94,6 +94,8 @@ def commands(tmp: Path) -> None:
         emit(f"mu-table/{mode}", cli("mu-table", "--mode", mode, "--m", 10, "--C", 1,
                                      "--rho", 0.2691, "--xstar", 1.2816))
     emit("mu-table/power-exact-rho", cli("mu-table", "--mode", "power", "--m", 6, "--C", 1))
+    emit("mu-table/power-m30", cli("mu-table", "--mode", "power", "--m", 30, "--C", 1,
+                                   "--xstar", 1.2816))
     out = tmp / "table.csv"
     cli("mu-table", "--mode", "sqrt", "--m", 10, "--C", 1, "--rho", 0.2691, "--out", out)
     emit("mu-table/sqrt-out-file", out.read_bytes())
@@ -214,6 +216,16 @@ def frames() -> None:
         emit(f"frames/stats-seed{seed}", repr(stats))
 
 
+def one_batch() -> None:
+    """Monte Carlo calls whose trials all fit in one ``_kernels.trial_batches`` batch."""
+    config = cs.make_config(10)
+    emit("calibrate_alarms/one-batch",
+         repr(cs.calibrate_alarms(10, 50, 1, X_STAR, alpha=0.5, trials=200, seed=7,
+                                  config=config)))
+    spec = cs.ExperimentSpec(m=10, n=50, trials=200, seed=7)
+    emit("estimate_type1/one-batch", repr(cs.estimate_type1(spec, config)))
+
+
 def kernels() -> None:
     """Batched kernels, single-grid views and witnesses on seeded random stacks."""
     r = rng(20, 26)
@@ -305,6 +317,7 @@ if __name__ == "__main__":
     strong_chain()
     library_detect()
     frames()
+    one_batch()
     kernels()
     dense_fraction_stacks()
     complexity_grids()
