@@ -7,16 +7,17 @@ Each stage has one exact layer loop that returns per-trial values and ends:
 ``_chain_ends`` for the run stage and ``_scan_ends`` for the scan stage. A
 single-grid call is a T=1 view of its stage's loop. Layer k holds the cells
 that end a chain of k nodes, and its live cells fall geometrically with k.
-The scan loop follows the sorted flat indices of the live cells, with their
-chain sums, through :func:`_successors` from layer 1 on, so its cost follows
-the live cells, as in sparse dynamic programming (Eppstein, Galil, Giancarlo
-& Italiano, J. ACM 39, 1992). The run loop takes dense passes over the whole
-stack while at least 1/``_SPARSE_RATIO`` of its cells are live, and follows
-the live cells after that; both phases keep the same end rule, so no length
-or end depends on which phase found it. One backtrack rebuilds the witness
-of either stage from the end its loop found (the run stage's with all-zero
-intensities), so a run length and its witness come from one pass and follow
-one tie rule at any depth.
+Every layer pass, and the one backtrack that rebuilds either stage's witness
+(the run stage's with all-zero intensities), works on one cell layout,
+:func:`_padded`, and one successor rule, the flat offsets of
+:func:`_offsets`: the pads keep every offset inside its trial, so no pass
+needs a bounds check. The scan loop follows the sorted live cells, with
+their chain sums, through :func:`_successors` from layer 1 on, so its cost
+follows the live cells, as in sparse dynamic programming (Eppstein, Galil,
+Giancarlo & Italiano, J. ACM 39, 1992). The run loop ORs whole shifted
+layers while at least 1/``_SPARSE_RATIO`` of the cells are live, then
+follows the live cells; both phases keep the same end rule, so a length,
+its end and its witness do not depend on the phase, at any depth.
 
 The Monte Carlo loops draw their stacks through :func:`drawn_ahead`: one
 batch of :func:`trial_batches` is drawn ahead on one worker thread while the
@@ -27,6 +28,7 @@ is no option to set.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -75,23 +77,6 @@ def drawn_ahead(draw, sizes):
         yield pending.result()
 
 
-def dilate_rows_max(cur: np.ndarray, C: int) -> np.ndarray:
-    """Max over the +/-C row window, rows on axis -2 (OR on booleans)."""
-    out = cur.copy()
-    for d in range(1, C + 1):
-        np.maximum(out[..., :-d, :], cur[..., d:, :], out=out[..., :-d, :])
-        np.maximum(out[..., d:, :], cur[..., :-d, :], out=out[..., d:, :])
-    return out
-
-
-def _chain_step(bits: np.ndarray, cur: np.ndarray, C: int) -> np.ndarray:
-    """Next reachability layer on (..., m, n): the set cells of ``bits`` one
-    column right of, and within C rows of, a cell of ``cur``."""
-    nxt = np.zeros_like(cur)
-    nxt[..., 1:] = bits[..., 1:] & dilate_rows_max(cur, C)[..., :-1]
-    return nxt
-
-
 def _firsts(a: np.ndarray) -> np.ndarray:
     """Mask of the entries of a sorted array that differ from the one before."""
     mask = np.empty(a.size, dtype=bool)
@@ -101,19 +86,19 @@ def _firsts(a: np.ndarray) -> np.ndarray:
 
 
 def _padded(b: np.ndarray, C: int) -> np.ndarray:
-    """Flat copy of a (T, m, n) boolean stack with C false rows above and below
-    each trial and a false column on the right, so that no successor offset
+    """Flat copy of a (T, m, n) stack with C zero (false) rows above and below
+    each trial and a zero column on the right, so that no successor offset
     leaves its trial or needs a bounds check."""
     T, m, n = b.shape
-    out = np.zeros((T, m + 2 * C, n + 1), dtype=bool)
+    out = np.zeros((T, m + 2 * C, n + 1), dtype=b.dtype)
     out[:, C : C + m, :n] = b
     return out.reshape(-1)
 
 
-def _padded_index(cells: np.ndarray, m: int, n: int, C: int) -> np.ndarray:
-    """Flat indices into the :func:`_padded` layout of flat (T, m, n) indices."""
-    rows = cells // n  # t*m + r
-    return cells + rows + (2 * (rows // m) + 1) * (C * (n + 1))
+def _offsets(n: int, C: int) -> np.ndarray:
+    """The successor rule on the :func:`_padded` layout of n-column trials: flat
+    offsets d*(n+1) + 1 from (r, c) to (r+d, c+1), for d = -C..C in order."""
+    return np.arange(-C, C + 1) * (n + 1) + 1
 
 
 def _unpadded(cells: np.ndarray, m: int, n: int, C: int) -> np.ndarray:
@@ -122,16 +107,17 @@ def _unpadded(cells: np.ndarray, m: int, n: int, C: int) -> np.ndarray:
     return cells - rows - (2 * (rows // (m + 2 * C)) + 1) * (C * n)
 
 
-def _successors(cells: np.ndarray, zp: np.ndarray, n: int,
-                C: int) -> tuple[np.ndarray, np.ndarray]:
+def _successors(cells: np.ndarray, zp: np.ndarray,
+                offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Significant cells (r+d, c+1), |d| <= C, after sorted live ``cells``,
-    all flat indices into the :func:`_padded` significance ``zp``.
+    all flat indices into the :func:`_padded` significance ``zp``; ``offsets``
+    are the :func:`_offsets` of its trials.
 
     Returns the successors, as 2C+1 sorted runs (one per d) that a stable
     sort merges in about linear time, and the (2C+1, live) mask of the
     candidates kept, which says whose successor each one is.
     """
-    cand = np.arange(1 - C * (n + 1), C * (n + 1) + 2, n + 1)[:, None] + cells
+    cand = offsets[:, None] + cells
     sig = zp[cand]
     return cand[sig], sig
 
@@ -141,40 +127,46 @@ def _chain_ends(bits: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
     flat index of the row-major first cell that ends such a chain (0 when no
     bit is set).
 
-    Iterates reachability layers until none is left, so the cost scales with
-    the answer; a trial's length and end are written at its last nonempty
-    layer.
+    Iterates reachability layers on the :func:`_padded` layout until none is
+    left, so the cost scales with the answer: ORs of the whole layer shifted
+    by each of the :func:`_offsets` while at least 1/_SPARSE_RATIO of the
+    stack's cells are live, then the sorted live cells through
+    :func:`_successors`. At a trial's last nonempty layer both phases write
+    its length and its first live cell in padded order, the row-major first.
     """
     T, m, n = bits.shape
-    mn = m * n
-    lengths = np.zeros(T, dtype=np.int64)
-    ends = np.zeros(T, dtype=np.int64)
-    cur, k = bits, 1
-    alive, live = cur.any(axis=(1, 2)), np.count_nonzero(cur)
-    while live and live * _SPARSE_RATIO >= cur.size:
-        nxt = _chain_step(bits, cur, C)
-        still = nxt.any(axis=(1, 2))
-        done = alive & ~still  # cur is their last nonempty layer
-        if done.any():
-            lengths[done] = k
-            ends[done] = cur[done].reshape(-1, mn).argmax(axis=1)
+    mn, stride = m * n, (m + 2 * C) * (n + 1)  # trial t: [t*stride, (t+1)*stride)
+    lengths, ends = np.zeros(T, dtype=np.int64), np.zeros(T, dtype=np.int64)
+
+    def finish(done, first):  # first: each done trial's first live cell
+        lengths[done] = k
+        ends[done] = _unpadded(first, m, n, C) - done * mn
+
+    zp, offsets = _padded(bits, C), _offsets(n, C)
+    lo, hi = offsets[-1], zp.size + min(offsets[0], 0)
+    cur, k = zp, 1
+    alive, live = cur.reshape(T, stride).any(axis=1), np.count_nonzero(cur)
+    while live and live * _SPARSE_RATIO >= bits.size:
+        nxt = np.zeros_like(cur)
+        for o in offsets:  # [lo, hi): the cells whose predecessors all lie in the stack
+            nxt[lo:hi] |= cur[lo - o : hi - o]
+        nxt &= zp
+        still = nxt.reshape(T, stride).any(axis=1)
+        done = np.flatnonzero(alive & ~still)  # cur is their last nonempty layer
+        if done.size:
+            finish(done, done * stride + cur.reshape(T, stride)[done].argmax(axis=1))
         cur, alive, live, k = nxt, still, np.count_nonzero(nxt), k + 1
-    if not live:
-        return lengths, ends
-    cells = _padded_index(np.flatnonzero(cur), m, n, C)
-    cur = nxt = None  # free the dense layers before the padded copy
-    zp = _padded(bits, C)
-    bounds = np.arange(T + 1) * ((m + 2 * C) * (n + 1))  # trial t: [bounds[t], bounds[t+1])
+    cells = np.flatnonzero(cur)
+    cur = nxt = None  # free the dense layers
+    bounds = np.arange(T + 1) * stride
     starts = np.searchsorted(cells, bounds)
     while cells.size:
-        nxt = np.sort(_successors(cells, zp, n, C)[0], kind="stable")
+        nxt = np.sort(_successors(cells, zp, offsets)[0], kind="stable")
         nxt = nxt[_firsts(nxt)]
         nstarts = np.searchsorted(nxt, bounds)
         done = np.flatnonzero((starts[1:] > starts[:-1]) & (nstarts[1:] == nstarts[:-1]))
         if done.size:
-            lengths[done] = k
-            # the first live cell of a trial is its row-major first end
-            ends[done] = _unpadded(cells[starts[done]], m, n, C) - done * mn
+            finish(done, cells[starts[done]])
         cells, starts, k = nxt, nstarts, k + 1
     return lengths, ends
 
@@ -229,7 +221,7 @@ def _scan_ends(x: np.ndarray, z: np.ndarray, C: int, U: int,
     values = np.full(T, NEG_INF)
     ends = np.zeros(T, dtype=np.int64)
     us = np.ones(T, dtype=np.int64)
-    zp = _padded(z, C)
+    zp, offsets = _padded(z, C), _offsets(n, C)
     bounds = np.arange(T + 1) * ((m + 2 * C) * (n + 1))  # trial t: [bounds[t], bounds[t+1])
     xs = x.reshape(-1)
     cells = np.flatnonzero(zp)
@@ -248,7 +240,7 @@ def _scan_ends(x: np.ndarray, z: np.ndarray, C: int, U: int,
         values[t], ends[t], us[t] = score[better], at[first[better]] - t * mn, u
         if u >= U:
             break
-        succ, sig = _successors(cells, zp, n, C)
+        succ, sig = _successors(cells, zp, offsets)
         order = np.argsort(succ, kind="stable")
         succ = succ[order]
         heads = np.flatnonzero(_firsts(succ))
@@ -290,32 +282,38 @@ def scan_best_single(x2d: np.ndarray, z2d: np.ndarray, C: int, U: int,
 def backtrack(x2d: np.ndarray, z2d: np.ndarray, C: int, i: int, j: int, u: int) -> list[int]:
     """Rows (0-based) of a chain of u nodes ending at (i, j) with the best sum.
 
-    Sweeps the chain's u columns forward, one contiguous m-vector per column,
-    with the sums of :func:`_scan_ends`, then walks back on Python floats (the
-    same IEEE adds) to the smallest row whose sum matches bit for bit.
+    Sweeps the chain's u columns forward on their :func:`_padded` layout,
+    NEG_INF in the pads and off the significant cells, with the sums of
+    :func:`_scan_ends`: each cell adds its x to the best sum that the
+    :func:`_offsets` lead back to. Then walks back on Python floats (the same
+    IEEE adds) to the smallest row whose sum matches bit for bit; a pad's sum
+    is NEG_INF and never matches, so the walk needs no bounds check.
     """
     x = np.asarray(x2d, dtype=np.float64)
     z = np.asarray(z2d, dtype=bool)
     m = x.shape[0]
-    lo = j - u + 1
-    # NEG_INF off the significant cells: a finite x plus NEG_INF is already NEG_INF
-    xs = np.where(z[:, lo : j + 1], x[:, lo : j + 1], NEG_INF).T.reshape(u, m, 1)
+    cols = np.s_[None, :, j - u + 1 : j + 1]
+    # NEG_INF off the significant cells, pads included: a finite x plus NEG_INF is NEG_INF
+    xs = np.where(_padded(z[cols], C), _padded(x[cols], C), NEG_INF)
     sums = xs.copy()
-    for c in range(1, u):
-        np.add(xs[c], dilate_rows_max(sums[c - 1], C), out=sums[c])
-    xs, sums = xs.reshape(u, m).tolist(), sums.reshape(u, m).tolist()
+    offsets, w = _offsets(u, C).tolist(), u + 1
+    stop = (C + m) * w
+    for c in range(C * w + 1, C * w + u):  # columns 1..u-1: c, c + w, ... < stop
+        pred = [sums[c - o : stop - o : w] for o in offsets]
+        np.add(xs[c:stop:w], functools.reduce(np.maximum, pred), out=sums[c:stop:w])
+    xs, sums = xs.tolist(), sums.tolist()
+    q = (C + i) * w + u - 1
     rows = [i]
-    r = i
-    for c in range(u - 1, 0, -1):
-        x_r, prev, target = xs[c][r], sums[c - 1], sums[c][r]
-        for pr in range(max(0, r - C), min(m, r + C + 1)):
+    for _ in range(u - 1):
+        x_q, target = xs[q], sums[q]
+        for o in reversed(offsets):  # predecessors q - o by increasing row
             # recompute the forward addition so the comparison is bit-exact
-            if x_r + prev[pr] == target:
+            if x_q + sums[q - o] == target:
                 break
         else:  # pragma: no cover - the forward sweep guarantees a predecessor
             raise AssertionError("backtrack lost the chain")
-        r = pr
-        rows.append(r)
+        q -= o
+        rows.append(q // w - C)
     rows.reverse()
     return rows
 

@@ -161,6 +161,8 @@ def _solve_min_mean(n: int, m: int, chain_length: float, delta2: float, x_star: 
     gains mu + lambda(x* - mu) - lambda(x*) per significant planted node
     (about 0.96 at mu = 2.5, x* = 1.2816).
     """
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
     if chain_length <= 1.0:
         raise ValueError(f"chain length spec must exceed 1, got {chain_length:g}")
     if delta2 <= 0.0:

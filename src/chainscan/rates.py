@@ -235,6 +235,16 @@ def _below_one(lo: float, hi: float, op: TransferOperator) -> float:
     return float(np.nextafter(1.0, 0.0))
 
 
+def _monte_carlo_lengths(rng: np.random.Generator, trials: int, m: int, n: int, C: int,
+                         p: float) -> np.ndarray:
+    """Longest chain length of each of ``trials`` Bernoulli(p) m-by-n nets
+    drawn from ``rng``, the next batch drawn while this one is scored."""
+    return np.concatenate([
+        _kernels.chain_lengths(bits, C)
+        for bits in _kernels.drawn_ahead(lambda t: _kernels.bernoulli_stack(rng, t, m, n, p),
+                                         _kernels.trial_batches(trials, m, n))])
+
+
 def estimate_run_rate(
     m: int,
     C: int,
@@ -261,11 +271,8 @@ def estimate_run_rate(
     if not (0.0 < p < 1.0):
         raise ValueError(f"need p in (0,1), got {p}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, m, C]))
-    estimates = []
-    for bits in _kernels.drawn_ahead(lambda t: _kernels.bernoulli_stack(rng, t, m, n_cols, p),
-                                     _kernels.trial_batches(trials, m, n_cols)):
-        lengths = _kernels.chain_lengths(bits, C)
-        estimates.extend(n_cols ** (-1.0 / float(s)) for s in lengths if s > 0)
+    lengths = _monte_carlo_lengths(rng, trials, m, n_cols, C, p)
+    estimates = [n_cols ** (-1.0 / float(s)) for s in lengths if s > 0]
     if not estimates:
         raise EstimationError("every trial produced an empty net; cannot estimate")
     return RunRate(float(np.mean(estimates)), m, C, p, MC_METHOD)
@@ -309,8 +316,10 @@ def estimate_area_rate(
     significant chain grows like log(m*n) divided by this constant.
 
     Requires p < 1/(2C+1), the subcritical guard under which the constant is
-    positive. Simulates every requested size (diagnostic sequence) and
-    returns the reciprocal of the mean of length/log(m*n) at the largest.
+    positive. Returns the reciprocal of the mean of length/log(m*n) at the
+    largest size. The smaller sizes are drawn first from the same generator
+    and scored, but only advance it (and fail when no trial there has a
+    significant cell); nothing is returned for them.
     """
     if C < 1:
         raise ValueError(f"need C >= 1, got {C}")
@@ -330,12 +339,8 @@ def estimate_area_rate(
     rng = np.random.default_rng(np.random.SeedSequence([seed, C]))
     rate = None
     for m, n in sizes:
-        ratios = []
-        for bits in _kernels.drawn_ahead(lambda t: _kernels.bernoulli_stack(rng, t, m, n, p),
-                                         _kernels.trial_batches(trials, m, n)):
-            lengths = _kernels.chain_lengths(bits, C)
-            ratios.extend(float(s) / math.log(m * n) for s in lengths)
-        mean_ratio = float(np.mean(ratios))
+        lengths = _monte_carlo_lengths(rng, trials, m, n, C, p)
+        mean_ratio = float(np.mean([float(s) / math.log(m * n) for s in lengths]))
         if mean_ratio <= 0.0:
             raise EstimationError(f"no significant chains at size {m}x{n}")
         rate = 1.0 / mean_ratio

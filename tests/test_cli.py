@@ -129,6 +129,13 @@ class TestMuTableCommand:
         assert out == ""
         assert "exact operator guarded to m <= 5" in err
 
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_log_mode_rows_below_one_is_argument_error(self, m):
+        code, out, err = run_cli("mu-table", "--mode", "log", "--m", m)
+        assert code == 2
+        assert out == ""
+        assert f"need m >= 1, got m={m}" in err
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "t.csv"
         code, out, _ = run_cli("mu-table", "--mode", "log", "--m", "10", "--C", "1",

@@ -159,6 +159,12 @@ class TestLogLengthMean:
         with pytest.raises(ValueError):
             min_detectable_mean_log_length(2, 10, 0.5, x_star=X_STAR)
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_rows_below_one_rejected(self, m):
+        for solver in (min_detectable_mean_log_length, min_detectable_mean_sqrt_length):
+            with pytest.raises(ValueError, match=f"need m >= 1, got m={m}"):
+                solver(1000, m, 2.0, x_star=X_STAR)
+
     def test_sqrt_variant_looser_than_power_law(self):
         # for a chain of length c*sqrt(n) the scan-cut bound asks for a larger
         # mean than the power-law bound at alpha = 1/2, zeta = c

@@ -76,11 +76,21 @@ class TestDeepRunFallbacks:
         assert check_chain(res.witness, sm, 1) == 2600
 
 
+def _dense_step(bits, cur, C):
+    """Next reachability layer on (T, m, n): the set cells of ``bits`` one column
+    right of, and within C rows of, a cell of ``cur``."""
+    m = bits.shape[1]
+    nxt = np.zeros_like(cur)
+    for d in range(-min(C, m - 1), min(C, m - 1) + 1):  # row r -> r + d
+        nxt[:, max(d, 0) : m + min(d, 0), 1:] |= cur[:, max(-d, 0) : m - max(d, 0), :-1]
+    return nxt & bits
+
+
 def _switch_layer(bits, C):
     """First layer k whose step to layer k+1 is sparse under the current switch."""
     cur, k = bits, 1
     while cur.any() and cur.sum() * _kernels._SPARSE_RATIO >= cur.size:
-        cur, k = _kernels._chain_step(bits, cur, C), k + 1
+        cur, k = _dense_step(bits, cur, C), k + 1
     return k
 
 
@@ -120,7 +130,7 @@ class TestPhaseEquivalence:
         for case in range(count):
             T, m, n = (int(rng.integers(1, 7)), int(rng.integers(1, 7)),
                        int(rng.integers(1, 41)))
-            C = int(rng.integers(0, 3))
+            C = int(rng.integers(0, 5))  # C >= m: pads wider than the trial
             U = int(rng.integers(1, n + 1))
             # per trial, sparse noise that dies at once or dense runs that outlive the switch
             density = rng.choice([0.1, 0.9], size=(T, 1, 1))
@@ -165,6 +175,23 @@ class TestPhaseEquivalence:
             assert us.tolist() == [3, 3] and scan_ends.tolist() == [6, 19]
             assert values.tolist() == [3 / math.sqrt(3)] * 2
 
+    def test_no_offset_links_trials_or_the_pad_column(self, phase):
+        # trial 0's last column sits just before the pad column and trial 1's
+        # first column; C = 2 reaches past every row of a 3-row trial
+        z = np.zeros((3, 3, 5), dtype=bool)
+        z[0, :, -1] = True
+        z[1, :, 0] = True
+        z[2] = True
+        x = np.where(z, 1.0, 0.0)
+        for ratio in (SPARSE, DENSE):
+            phase(ratio)
+            lengths, ends = _kernels._chain_ends(z, 2)
+            values, scan_ends, us = _kernels._scan_ends(x, z, 2, 5, 0.0)
+            assert lengths.tolist() == [1, 1, 5] and ends.tolist() == [4, 0, 4]
+            assert us.tolist() == [1, 1, 5] and scan_ends.tolist() == [4, 0, 4]
+            assert [_kernels.longest_chain_with_witness(b, 2) for b in z] == [
+                (1, 4, [0]), (1, 0, [0]), (5, 0, [0] * 5)]
+
 
 def _best_sums(x, z, C):
     """Best sum of every significant chain by (end row, end column, node count),
@@ -193,7 +220,7 @@ class TestBacktrackTieRule:
         checked = 0
         for case in range(60):
             m, n = int(rng.integers(1, 5)), int(rng.integers(1, 9))
-            C = case % 3
+            C = case % 5  # C >= m: pads wider than the grid
             z = rng.random((m, n)) < rng.uniform(0.4, 0.9)
             x = rng.integers(-1, 3, size=(m, n)).astype(float) * (case % 4 > 0)
             best = _best_sums(x, z, C)

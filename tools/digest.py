@@ -11,7 +11,8 @@ operator's row guard, every CLI command's output and ``--help`` text,
 detection on seeded null and planted grids, frame mode and alarm calibration
 at 50x50, Monte Carlo calls that fit in one trial batch, the batched kernels
 and witnesses (also on stacks with about 0.2-0.3 of their cells
-significant), the null grids of the complexity criterion, and the stdout of
+significant, and at drift windows C = 3 and 5 that reach past small grids'
+rows), the null grids of the complexity criterion, and the stdout of
 every demo. It runs in about a minute on two cores.
 """
 
@@ -290,6 +291,30 @@ def dense_fraction_stacks() -> None:
                      b"|".join(parts))
 
 
+def wide_drift_stacks() -> None:
+    """Batched kernels, single-grid views and witnesses at C = 3 and 5, where
+    the drift window reaches past the rows of small grids (C >= m), on stacks
+    whose trials have densities 0.2, 0.6 and 0.9. In 7 of the 16 stacks
+    trials end on both sides of the run stage's dense/sparse switch."""
+    for C in (3, 5):
+        for m in range(1, 9):
+            r = rng(20, 29, C, m)
+            n = int(r.integers(1, 61))
+            U = int(r.integers(1, n + 1))
+            center = float(r.choice([0.0, 1.755]))
+            x = r.standard_normal((6, m, n))
+            z = r.random((6, m, n)) < np.repeat([0.2, 0.6, 0.9], 2)[:, None, None]
+            parts = [_kernels.chain_lengths(z, C).tobytes(),
+                     _kernels.scan_values(x, z, C, U, center).tobytes()]
+            for t in range(len(x)):
+                grid, sig = cs.ImageGrid(x[t]), cs.SignificanceMap(z[t])
+                parts.append(repr(_kernels.longest_chain_with_witness(z[t], C)).encode())
+                parts.append(repr(_kernels.scan_best_single(x[t], z[t], C, U, center)).encode())
+                parts.append(repr(cs.longest_run_length(sig, C)).encode())
+                parts.append(repr(cs.scan_statistic(grid, sig, C, U, center=center)).encode())
+            emit(f"kernels/wide-drift-C{C}-m{m}", b"|".join(parts))
+
+
 def complexity_grids() -> None:
     """Library ``detect`` on the null grids of ``test_criterion_complexity``."""
     config = cs.make_config(10)
@@ -320,5 +345,6 @@ if __name__ == "__main__":
     one_batch()
     kernels()
     dense_fraction_stacks()
+    wide_drift_stacks()
     complexity_grids()
     demos()
