@@ -17,7 +17,9 @@ follows the live cells, as in sparse dynamic programming (Eppstein, Galil,
 Giancarlo & Italiano, J. ACM 39, 1992). The run loop ORs whole shifted
 layers while at least 1/``_SPARSE_RATIO`` of the cells are live, then
 follows the live cells; both phases keep the same end rule, so a length,
-its end and its witness do not depend on the phase, at any depth.
+its end and its witness do not depend on the phase, at any depth. A stop
+layer ends both phases early for a caller that reads only whether a length
+passes a cut below it.
 
 The Monte Carlo loops draw their stacks through :func:`drawn_ahead`: one
 batch of :func:`trial_batches` is drawn ahead on one worker thread while the
@@ -122,7 +124,8 @@ def _successors(cells: np.ndarray, zp: np.ndarray,
     return cand[sig], sig
 
 
-def _chain_ends(bits: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
+def _chain_ends(bits: np.ndarray, C: int,
+                stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Longest chain length per trial of a (T, m, n) boolean stack, and the
     flat index of the row-major first cell that ends such a chain (0 when no
     bit is set).
@@ -133,10 +136,15 @@ def _chain_ends(bits: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
     stack's cells are live, then the sorted live cells through
     :func:`_successors`. At a trial's last nonempty layer both phases write
     its length and its first live cell in padded order, the row-major first.
+
+    A ``stop`` layer (an int >= 1) ends both phases there: a trial still live
+    at layer ``stop`` gets length ``stop`` and the row-major first cell that
+    ends a chain of ``stop`` nodes, so each length is min(longest, stop).
     """
     T, m, n = bits.shape
     mn, stride = m * n, (m + 2 * C) * (n + 1)  # trial t: [t*stride, (t+1)*stride)
     lengths, ends = np.zeros(T, dtype=np.int64), np.zeros(T, dtype=np.int64)
+    stop = n if stop is None else min(stop, n)  # no chain has more than n nodes
 
     def finish(done, first):  # first: each done trial's first live cell
         lengths[done] = k
@@ -146,7 +154,7 @@ def _chain_ends(bits: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = offsets[-1], zp.size + min(offsets[0], 0)
     cur, k = zp, 1
     alive, live = cur.reshape(T, stride).any(axis=1), np.count_nonzero(cur)
-    while live and live * _SPARSE_RATIO >= bits.size:
+    while live and k < stop and live * _SPARSE_RATIO >= bits.size:
         nxt = np.zeros_like(cur)
         for o in offsets:  # [lo, hi): the cells whose predecessors all lie in the stack
             nxt[lo:hi] |= cur[lo - o : hi - o]
@@ -160,7 +168,7 @@ def _chain_ends(bits: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
     cur = nxt = None  # free the dense layers
     bounds = np.arange(T + 1) * stride
     starts = np.searchsorted(cells, bounds)
-    while cells.size:
+    while cells.size and k < stop:
         nxt = np.sort(_successors(cells, zp, offsets)[0], kind="stable")
         nxt = nxt[_firsts(nxt)]
         nstarts = np.searchsorted(nxt, bounds)
@@ -168,17 +176,27 @@ def _chain_ends(bits: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
         if done.size:
             finish(done, cells[starts[done]])
         cells, starts, k = nxt, nstarts, k + 1
+    if cells.size:  # layer k = stop: the trials still live end here
+        done = np.flatnonzero(starts[1:] > starts[:-1])
+        finish(done, cells[starts[done]])
     return lengths, ends
 
 
-def chain_lengths(bits: np.ndarray, C: int, ends: np.ndarray | None = None) -> np.ndarray:
+def chain_lengths(bits: np.ndarray, C: int, ends: np.ndarray | None = None,
+                  stop: int | None = None) -> np.ndarray:
     """Longest significant chain length per trial for a (T, m, n) boolean stack
     (a 2-D map counts as one trial). ``ends``, T int64 entries when given,
-    receives each trial's end from the same pass, as :func:`_chain_ends` gives it."""
+    receives each trial's end from the same pass, as :func:`_chain_ends` gives it.
+
+    ``stop``, an int >= 1 when given, caps the pass at that layer, as in
+    :func:`_chain_ends`: each length is then min(longest, stop), which is all
+    a cut below ``stop`` reads, and a capped trial's end is the first cell
+    that ends a chain of ``stop`` nodes.
+    """
     bits = np.asarray(bits, dtype=bool)
     if bits.ndim == 2:
         bits = bits[None]
-    lengths, found = _chain_ends(bits, C)
+    lengths, found = _chain_ends(bits, C, stop)
     if ends is not None:
         ends[:] = found
     return lengths

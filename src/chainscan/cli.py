@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=10)
     sp.add_argument("--C", type=int, default=1)
     sp.add_argument("--rho", type=float, default=None,
-                    help="run rate; computed exactly when omitted")
+                    help="run rate; when omitted, computed exactly up to "
+                         f"m = {MAX_EXACT_ROWS} and extrapolated from exact roots past it")
     sp.add_argument("--alpha", type=float, default=1.0,
                     help="power-law exponent for --mode power")
     sp.add_argument("--xstar", type=float, default=DEFAULT_X_STAR)

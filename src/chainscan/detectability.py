@@ -133,9 +133,12 @@ def min_detectable_mean_power_law(
     ``run_rate ** (alpha * ln(zeta n) / ((1 + eps) ln n))``; the returned
     mean shifts the normal so the node exceedance probability reaches it.
     ``m`` and ``C`` document the provenance of ``run_rate``; they do not
-    enter the formula.
+    enter the formula, but a geometry no rate can come from is an error.
     """
-    del m, C
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    if C < 1:
+        raise ValueError(f"need C >= 1, got {C}")
     if not (0.0 < run_rate < 1.0):
         raise ValueError(f"run rate must lie in (0,1), got {run_rate}")
     if not (0.0 < alpha <= 1.0):

@@ -208,11 +208,15 @@ def _stack_stats(x: np.ndarray, config: DetectorConfig, U: int, center: float = 
                  step1: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Longest-run lengths and capped scan values of a (T, m, n) intensity stack.
 
-    A trial whose length already exceeds ``step1`` is decided by Step I and
-    not scanned; its value is NaN, which exceeds no cut.
+    A trial whose length already exceeds a finite ``step1`` is decided by
+    Step I: the run stage stops at layer floor(step1) + 1, so its length
+    reads min(longest, floor(step1) + 1), which still exceeds ``step1``, and
+    it is not scanned; its value is NaN, which exceeds no cut. Every other
+    length is exact, and with the default infinite ``step1`` all are.
     """
     z = x > config.x_star
-    lengths = _kernels.chain_lengths(z, config.C)
+    stop = math.floor(step1) + 1 if math.isfinite(step1) else None
+    lengths = _kernels.chain_lengths(z, config.C, stop=stop)
     scan = lengths <= step1
     if not scan.all():
         x, z = x[scan], z[scan]

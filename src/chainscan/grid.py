@@ -299,21 +299,61 @@ def generate_null_grid(m: int, n: int, seed: int) -> ImageGrid:
     return ImageGrid(rng.standard_normal((m, n)))
 
 
+def _chain_draw(m: int, n: int, C: int, length: int, seed) -> tuple[int, np.ndarray]:
+    """Start column and moves of one random chain, for :func:`_clamped_walk`.
+
+    ``np.random.default_rng(seed)`` draws, in this order, the start column
+    uniform on [1, n - length + 1], the first row uniform on [1, m], and the
+    length - 1 drift steps uniform on {-C, ..., C}. The moves are the first
+    row followed by the steps. Every seeded chain comes from this order.
+    """
+    rng = np.random.default_rng(seed)
+    start_col = 1 + int(rng.integers(0, n - length + 1))
+    moves = np.empty(length, dtype=np.int64)
+    moves[0] = 1 + rng.integers(0, m)
+    moves[1:] = rng.integers(-C, C + 1, size=length - 1)
+    return start_col, moves
+
+
+def _clamped_walk(moves: np.ndarray, m: int) -> np.ndarray:
+    """Rows r_k = min(max(r_{k-1} + s_k, 1), m), k = 1..L, of each row s of a
+    (T, L) integer array of moves, from r_0 = 0, so a first move in [1, m] is
+    the start row.
+
+    Step k is the clamp map r -> min(max(r + a, lo), hi) with (a, lo, hi) =
+    (s_k, 1, m), and clamp maps compose exactly in integers: (a1, lo1, hi1)
+    followed by (a2, lo2, hi2) is (a1 + a2, clip(lo1 + a2, lo2, hi2),
+    clip(hi1 + a2, lo2, hi2)). So the map from r_0 to r_k is r -> S_k +
+    clip(r, L_k, H_k), with S_k = s_1 + ... + s_k the unclamped walk; step k
+    alone has the interval [1 - S_k, m - S_k], and a prefix's interval is the
+    earlier prefix's interval clamped into that of the steps after it. A
+    doubling prefix scan (Hillis & Steele; Blelloch 1990) of the intervals
+    composes every prefix in ceil(log2 L) vectorized rounds.
+    """
+    s = np.cumsum(moves, axis=1, dtype=np.int64)
+    bounds = np.stack((1 - s, m - s))  # (L_k, H_k) of step k alone
+    d = 1
+    while d < s.shape[1]:  # each interval covers min(k, d) steps; fold in the d before
+        bounds[:, :, d:] = np.minimum(np.maximum(bounds[:, :, :-d], bounds[0, :, d:]),
+                                      bounds[1, :, d:])
+        d *= 2
+    return s + np.minimum(np.maximum(bounds[0], 0), bounds[1])
+
+
 def generate_chain(m: int, n: int, C: int, length: int, seed: int) -> ChainPath:
     """Random chain: uniform start column and row, per-step drift uniform on
-    {-C,...,C} clipped to [1, m]."""
+    {-C,...,C} clipped to [1, m].
+
+    The draws are those of :func:`_chain_draw` and the rows the T = 1 case of
+    :func:`_clamped_walk`, the pair that plants the Monte Carlo power
+    trials' chains a batch at a time.
+    """
     if not (1 <= length <= n):
         raise ValueError(f"chain length {length} outside [1, {n}]")
     if m < 1 or C < 0:
         raise ValueError(f"need m >= 1 and C >= 0, got m={m}, C={C}")
-    rng = np.random.default_rng(seed)
-    start_col = 1 + int(rng.integers(0, n - length + 1))
-    row = 1 + int(rng.integers(0, m))
-    rows = [row]
-    for step in rng.integers(-C, C + 1, size=length - 1):
-        row = min(max(row + int(step), 1), m)
-        rows.append(row)
-    return ChainPath(start_col, tuple(rows))
+    start_col, moves = _chain_draw(m, n, C, length, seed)
+    return ChainPath(start_col, tuple(_clamped_walk(moves[None], m)[0].tolist()))
 
 
 def embed_chain(grid: ImageGrid, chain: ChainPath, mu: float) -> ImageGrid:

@@ -9,9 +9,13 @@ is no option to set.
 
 A rejection is the union event "longest run above its cut OR centered scan
 statistic above its cut", which is exactly the two-step detector's rejection
-region; trials that Step I already rejects are not scanned. Alarm
-calibration instead takes empirical quantiles of the raw scan statistic, the
-scale that frame mode scores.
+region. The estimators compute only what that decision reads: the run stage
+stops at the first layer above the Step I cut, and trials that Step I
+already rejects are not scanned. The power estimator draws each trial's
+chain from its own stream and walks a batch's chains at once
+(``grid._clamped_walk``), with the rows ``generate_chain`` gives. Alarm
+calibration instead takes empirical quantiles of the exact run lengths and
+of the raw scan statistic, the scale that frame mode scores.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .detectability import (
     null_conditional_mean,
 )
 from .detector import DetectorConfig, _scan_cap, _stack_stats, _thresholds_for, make_config
-from .grid import ChainPath, generate_chain
+from .grid import ChainPath, _chain_draw, _clamped_walk
 
 __all__ = [
     "LengthLaw",
@@ -189,15 +193,19 @@ def estimate_power(
     length = spec.length_law.realize(spec.n)
     if fixed_chain is not None:
         fixed_chain.validate(spec.m, spec.n, spec.C)
+        fixed = np.array([fixed_chain.start_col]), np.array([fixed_chain.rows])
 
     def plant(x: np.ndarray, first: int) -> None:
-        for k in range(len(x)):
-            chain = fixed_chain
-            if chain is None:
-                chain = generate_chain(spec.m, spec.n, spec.C, length,
-                                       seed=np.random.SeedSequence([spec.seed, 3, first + k]))
-            rows = np.asarray(chain.rows) - 1
-            x[k, rows, np.arange(chain.start_col - 1, chain.end_col)] += spec.mu
+        if fixed_chain is None:  # a chain per trial from its own stream, walked at once
+            draws = [_chain_draw(spec.m, spec.n, spec.C, length,
+                                 np.random.SeedSequence([spec.seed, 3, first + k]))
+                     for k in range(len(x))]
+            starts = np.array([start for start, _ in draws])
+            rows = _clamped_walk(np.stack([moves for _, moves in draws]), spec.m)
+        else:  # one (1, L) chain broadcast over the batch
+            starts, rows = fixed
+        cols = starts[:, None] - 1 + np.arange(rows.shape[1])
+        x[np.arange(len(x))[:, None], rows - 1, cols] += spec.mu
 
     return _rejection_rate(spec, config, 2, "power", plant)
 

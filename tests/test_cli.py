@@ -136,6 +136,16 @@ class TestMuTableCommand:
         assert out == ""
         assert f"need m >= 1, got m={m}" in err
 
+    @pytest.mark.parametrize("mode", ["power", "sqrt"])
+    @pytest.mark.parametrize("geometry, message", [(("--m", "0"), "need m >= 1, got 0"),
+                                                   (("--C", "0"), "need C >= 1, got 0")])
+    def test_given_rho_still_checks_geometry(self, mode, geometry, message):
+        for rho in (("--rho", "0.2691"), ()):  # as without --rho
+            code, out, err = run_cli("mu-table", "--mode", mode, *geometry, *rho)
+            assert code == 2
+            assert out == ""
+            assert message in err
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "t.csv"
         code, out, _ = run_cli("mu-table", "--mode", "log", "--m", "10", "--C", "1",

@@ -129,6 +129,14 @@ class TestPowerLawMean:
             min_detectable_mean_power_law(100, 10, 1, RATE_10, 1.0, 0.005,
                                           eps=1e-4, x_star=X_STAR)
 
+    @pytest.mark.parametrize("m, C, message", [(0, 1, "need m >= 1, got 0"),
+                                               (-3, 1, "need m >= 1, got -3"),
+                                               (10, 0, "need C >= 1, got 0")])
+    def test_geometry_checked_with_a_given_rate(self, m, C, message):
+        # the rate is given, so nothing else would check the geometry it claims
+        with pytest.raises(ValueError, match=message):
+            min_detectable_mean_power_law(200, m, C, RATE_10, 1.0, 0.1, x_star=X_STAR)
+
 
 class TestLogLengthMean:
     def test_anchors(self):

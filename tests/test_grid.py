@@ -283,6 +283,47 @@ class TestGenerateChain:
         assert chi2 < crit, f"chi2={chi2:.1f} exceeds crit={crit:.1f}"
 
 
+def _walk_loop(moves, m):
+    """The clamped walk one step at a time, from row 0."""
+    rows, row = [], 0
+    for s in moves:
+        row = min(max(row + int(s), 1), m)
+        rows.append(row)
+    return rows
+
+
+class TestClampedWalk:
+    LENGTHS = (1, 2, 3) + tuple(2**k + e for k in range(2, 13) for e in (-1, 0, 1)) + (5003,)
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    @pytest.mark.parametrize("C", [1, 2, 3])
+    def test_matches_step_by_step_walk(self, m, C):
+        rng = np.random.default_rng([m, C])
+        for length in self.LENGTHS:
+            moves = rng.integers(-C, C + 1, size=(3, length))
+            moves[:, 0] = rng.integers(1, m + 1, size=3)
+            rows = grid_module._clamped_walk(moves, m)
+            assert rows.shape == moves.shape
+            assert [list(r) for r in rows] == [_walk_loop(mv, m) for mv in moves]
+
+    def test_walk_pinned_to_a_wall(self):
+        # long pushes into each wall: every prefix map clamps at both ends
+        moves = np.array([[1] + [3] * 40 + [-3] * 40, [4] + [-1] * 80])
+        assert [list(r) for r in grid_module._clamped_walk(moves, 4)] == (
+            [_walk_loop(mv, 4) for mv in moves])
+
+    def test_generate_chain_walks_its_draws(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            m, C = int(rng.integers(1, 12)), int(rng.integers(0, 4))
+            n = int(rng.integers(1, 600))
+            length = int(rng.integers(1, n + 1))
+            seed = int(rng.integers(2**32))
+            start, moves = grid_module._chain_draw(m, n, C, length, seed)
+            assert generate_chain(m, n, C, length, seed) == ChainPath(start,
+                                                                     _walk_loop(moves, m))
+
+
 class TestEmbedChain:
     def test_zero_mean_identity(self, rng):
         g = ImageGrid(rng.standard_normal((6, 12)))

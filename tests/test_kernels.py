@@ -193,6 +193,83 @@ class TestPhaseEquivalence:
                 (1, 4, [0]), (1, 0, [0]), (5, 0, [0] * 5)]
 
 
+def _layer_firsts(z, C, k):
+    """Per trial, the flat index of the row-major first cell that ends a chain
+    of k nodes, or -1 when none does."""
+    cur = z
+    for _ in range(k - 1):
+        cur = _dense_step(z, cur, C)
+    flat = cur.reshape(len(z), -1)
+    return np.where(flat.any(axis=1), flat.argmax(axis=1), -1)
+
+
+class TestStoppedRunStage:
+    """A stop layer caps each length at the stop and leaves the rest of the
+    pass as it was, in either phase."""
+
+    RATIOS = (SPARSE, 4, 64, DENSE)
+
+    def _check(self, z, C, stop, full_lengths, full_ends):
+        ends = np.full(len(z), -7, dtype=np.int64)
+        lengths = _kernels.chain_lengths(z, C, ends, stop=stop)
+        assert np.array_equal(lengths, np.minimum(full_lengths, stop))
+        capped = full_lengths > stop
+        assert np.array_equal(ends[~capped], full_ends[~capped])
+        assert np.array_equal(ends[capped], _layer_firsts(z, C, stop)[capped])
+        return capped
+
+    def test_random_stacks_at_every_stop(self, rng, phase):
+        capped = exact = 0
+        for _ in range(150):
+            T, m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 30))
+            C = int(rng.integers(0, 4))
+            z = rng.random((T, m, n)) < rng.choice([0.0, 0.1, 0.9], size=(T, 1, 1))
+            phase(DENSE)
+            full_lengths, full_ends = _kernels._chain_ends(z, C)
+            for stop in {1, 2, 3, int(rng.integers(1, n + 2)), n + 5}:
+                for ratio in self.RATIOS:
+                    phase(ratio)
+                    capped += self._check(z, C, stop, full_lengths, full_ends).sum()
+                exact += int((full_lengths == stop).sum())
+        assert capped >= 100 and exact >= 50  # trials cut short, and trials ending at the stop
+
+    def test_stop_one_reads_any_significant_cell(self, phase):
+        z = np.zeros((3, 4, 6), dtype=bool)
+        z[1, 2, 3] = True
+        z[2] = True
+        for ratio in self.RATIOS:
+            phase(ratio)
+            ends = np.zeros(3, dtype=np.int64)
+            assert _kernels.chain_lengths(z, 1, ends, stop=1).tolist() == [0, 1, 1]
+            assert ends.tolist() == [0, 15, 0]
+
+    def test_trials_ending_at_the_stop(self, phase):
+        # runs of 4, 5 and 6 nodes against a stop of 5; trial 3 is empty
+        z = np.zeros((4, 3, 12), dtype=bool)
+        for t, length in enumerate((4, 5, 6)):
+            z[t, t, 2 : 2 + length] = True
+        for ratio in self.RATIOS:
+            phase(ratio)
+            ends = np.zeros(4, dtype=np.int64)
+            assert _kernels.chain_lengths(z, 1, ends, stop=5).tolist() == [4, 5, 5, 0]
+            assert ends.tolist() == [5, 12 + 6, 24 + 6, 0]
+
+    def test_deep_planted_trials(self, phase):
+        # a monte-carlo-sized batch: null noise, nothing, and chains of 300 and 1200 nodes
+        rng = np.random.default_rng([20, 30])
+        x = rng.standard_normal((4, 10, 2000))
+        x[1] = -1.0
+        for t, length in ((2, 300), (3, 1200)):
+            x[t, rng.integers(0, 10), 100 : 100 + length] += 6.0
+        z = x > DEFAULT_X_STAR
+        full_lengths, full_ends = _kernels._chain_ends(z, 1)
+        assert full_lengths[2] >= 300 and full_lengths[3] >= 1200
+        for ratio in self.RATIOS:
+            phase(ratio)
+            for stop in (1, 6, int(full_lengths[0]), 301):
+                self._check(z, 1, stop, full_lengths, full_ends)
+
+
 def _best_sums(x, z, C):
     """Best sum of every significant chain by (end row, end column, node count),
     by enumerating every chain from every start."""

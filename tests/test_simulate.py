@@ -132,9 +132,12 @@ class TestOneRule:
 
     SPEC = ExperimentSpec(m=6, n=200, mu=3.0, epsilon=1.0, trials=60, seed=5,
                           length_law=LengthLaw("fixed", 4))
+    # 300-node random chains at C = 2: nine doubling rounds per batched walk
+    LONG_SPEC = ExperimentSpec(m=6, n=600, C=2, mu=1.2, epsilon=1.0, trials=60, seed=5,
+                               length_law=LengthLaw("linear", 0.5))
 
-    def _decisions(self, config, power):
-        spec = self.SPEC
+    @staticmethod
+    def _decisions(spec, config, power):
         stream = 2 if power else 1
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, stream]))
         x = rng.standard_normal((spec.trials, spec.m, spec.n))
@@ -153,10 +156,21 @@ class TestOneRule:
             monkeypatch.setattr(_kernels, "_BATCH_CELLS", batch_cells)
         config = config_for(self.SPEC)
         for estimate, power in ((estimate_type1, False), (estimate_power, True)):
-            decided = self._decisions(config, power)
+            decided = self._decisions(self.SPEC, config, power)
             hits = sum(stage != "none" for stage in decided)
             assert estimate(self.SPEC, config=config).rate == hits / self.SPEC.trials
         assert set(decided) == {"step1", "step2", "none"}  # the power stack tests both stages
+
+    @pytest.mark.parametrize("batch_cells", [None, 1])
+    def test_long_random_chains_count_detect_rejections(self, monkeypatch, batch_cells):
+        if batch_cells is not None:  # one trial per batch, else two batches
+            monkeypatch.setattr(_kernels, "_BATCH_CELLS", batch_cells)
+        spec = self.LONG_SPEC
+        config = config_for(spec)
+        decided = self._decisions(spec, config, power=True)
+        hits = sum(stage != "none" for stage in decided)
+        assert 0 < hits < spec.trials
+        assert estimate_power(spec, config=config).rate == hits / spec.trials
 
 
 class TestDrawAheadWorker:

@@ -9,7 +9,9 @@ The script imports ``chainscan`` from the ``src`` directory beside it and
 takes no flags. It covers configuration reprs, run rates past the exact
 operator's row guard, every CLI command's output and ``--help`` text,
 detection on seeded null and planted grids, frame mode and alarm calibration
-at 50x50, Monte Carlo calls that fit in one trial batch, the batched kernels
+at 50x50, Monte Carlo calls that fit in one trial batch, power estimates
+whose planted chains decide some trials but not all, seeded chain draws, the
+batched kernels
 and witnesses (also on stacks with about 0.2-0.3 of their cells
 significant, and at drift windows C = 3 and 5 that reach past small grids'
 rows), the null grids of the complexity criterion, and the stdout of
@@ -227,6 +229,33 @@ def one_batch() -> None:
     emit("estimate_type1/one-batch", repr(cs.estimate_type1(spec, config)))
 
 
+def planted_power() -> None:
+    """``estimate_power`` at means where the power is strictly between 0 and 1,
+    so that a misplaced chain node moves the rate: random chains at C = 1 and
+    2 under the sqrt and linear laws (up to 320 nodes), and one fixed chain."""
+    for C in (1, 2):
+        for law, mu in ((cs.LengthLaw("sqrt", 3.0), 1.4), (cs.LengthLaw("linear", 0.25), 1.4),
+                        (cs.LengthLaw("linear", 0.8), 1.0)):
+            spec = cs.ExperimentSpec(m=10, n=400, C=C, mu=mu, trials=100, seed=11,
+                                     epsilon=1.0, length_law=law)
+            emit(f"estimate_power/C{C}-{law.kind}{law.coef:g}-mu{mu}",
+                 repr(cs.estimate_power(spec)))
+    spec = cs.ExperimentSpec(m=10, n=400, C=2, mu=1.4, trials=100, seed=11, epsilon=1.0,
+                             length_law=cs.LengthLaw("linear", 0.25))
+    chain = cs.generate_chain(10, 400, 2, 100, seed=9)
+    emit("estimate_power/fixed-chain", repr(cs.estimate_power(spec, fixed_chain=chain)))
+
+
+def chains() -> None:
+    """``generate_chain`` draws, single-row grids and one-node chains included."""
+    for m, n, C, length in ((1, 10, 1, 10), (1, 5, 2, 1), (6, 40, 2, 1), (6, 40, 2, 12),
+                            (3, 600, 3, 513), (10, 2000, 1, 400), (11, 5000, 2, 5000)):
+        parts = [repr(cs.generate_chain(m, n, C, length, seed=seed)) for seed in range(4)]
+        parts.append(repr(cs.generate_chain(m, n, C, length,
+                                            seed=np.random.SeedSequence([0, 3, m]))))
+        emit(f"generate_chain/m{m}-n{n}-C{C}-len{length}", "|".join(parts))
+
+
 def kernels() -> None:
     """Batched kernels, single-grid views and witnesses on seeded random stacks."""
     r = rng(20, 26)
@@ -343,6 +372,8 @@ if __name__ == "__main__":
     library_detect()
     frames()
     one_batch()
+    planted_power()
+    chains()
     kernels()
     dense_fraction_stacks()
     wide_drift_stacks()
