@@ -17,7 +17,7 @@ from chainscan import (
 M = N = 50
 BURST = range(20, 26)
 
-config = make_config(M, seed=11)
+config = make_config(M)
 l0_cut, scan_cut = calibrate_alarms(M, N, 1, config.x_star, alpha=0.01,
                                     trials=5000, seed=12, config=config)
 print(f"calibrated cuts: longest run > {l0_cut:.0f}, scan > {scan_cut:.2f}\n")

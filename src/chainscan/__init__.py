@@ -47,9 +47,9 @@ from .rates import (
     RunRate,
     TransferOperator,
     build_transfer_operator,
-    estimate_area_rate,
     estimate_run_rate,
     perron_root,
+    resolve_area_rate,
     resolve_run_rate,
 )
 from .runs import RunResult, longest_run_bruteforce, longest_run_length
@@ -96,7 +96,6 @@ __all__ = [
     "detect",
     "detect_frames",
     "embed_chain",
-    "estimate_area_rate",
     "estimate_power",
     "estimate_run_rate",
     "estimate_type1",
@@ -114,6 +113,7 @@ __all__ = [
     "normal_quantile",
     "null_conditional_mean",
     "perron_root",
+    "resolve_area_rate",
     "resolve_run_rate",
     "scan_bruteforce",
     "scan_statistic",

@@ -105,11 +105,6 @@ def _load_grid(path: str | Path):
 
 
 def _build_config(args, m: int):
-    if args.regime == "growing-m" and args.seed is None:
-        raise ValueError(
-            "--seed is required with --regime growing-m: the area rate is estimated "
-            "by Monte Carlo (no hidden entropy)"
-        )
     return make_config(
         m,
         C=args.C,
@@ -118,7 +113,6 @@ def _build_config(args, m: int):
         delta2=args.delta2,
         regime=args.regime,
         U_override=args.u_cap,
-        seed=args.seed if args.seed is not None else 0,
     )
 
 
@@ -236,8 +230,6 @@ def _add_detector_flags(sp) -> None:
     sp.add_argument("--regime", choices=["fixed-m", "growing-m"], default="fixed-m")
     sp.add_argument("--u-cap", type=int, default=None,
                     help="override the scan length cap")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="seed for the Monte Carlo area rate of --regime growing-m")
 
 
 def build_parser() -> argparse.ArgumentParser:

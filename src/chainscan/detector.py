@@ -3,10 +3,12 @@
 Step I rejects when the longest significant chain exceeds its threshold;
 otherwise Step II rejects when the capped normalized scan statistic, centered
 at the null conditional mean of a significant node, exceeds its threshold.
-The growing-lattice regime swaps the Step I cut for one based on the
-joint-growth rate constant. Frame mode scores the raw (uncentered) scan
-statistic against empirical cuts. Frame mode and the Monte Carlo harness
-compute both statistics on stacks of trials through one batched path.
+The growing-lattice regime swaps the Step I cut and the scan cap for ones
+based on the joint-growth rate constant, -log of the limit run rate, so no
+configuration is resolved by simulation. Frame mode scores the raw
+(uncentered) scan statistic against empirical cuts. Frame mode and the Monte
+Carlo harness compute both statistics on stacks of trials through one
+batched path.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .detectability import (
     null_conditional_mean,
 )
 from .grid import ChainPath, ImageGrid, significance_map
-from .rates import RunRate, estimate_area_rate, resolve_run_rate
+from .rates import RunRate, resolve_area_rate, resolve_run_rate
 from .runs import longest_run_length
 from .scan import scan_statistic
 
@@ -37,8 +39,6 @@ __all__ = ["DetectorConfig", "DetectionResult", "FrameStat", "make_config", "det
 FIXED_ROWS = "fixed-m"
 GROWING_ROWS = "growing-m"
 
-_DEFAULT_AREA_SIZES = ((96, 96), (192, 192))
-
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -46,7 +46,7 @@ class DetectorConfig:
 
     ``run_rate`` carries its (m, C, p) provenance; :func:`detect` refuses
     grids whose geometry disagrees with it. ``area_rate`` is only consulted
-    in the growing-rows regime.
+    in the growing-rows regime; when given, it must be finite and positive.
     """
 
     C: int
@@ -72,6 +72,9 @@ class DetectorConfig:
             raise ValueError("run_rate provenance disagrees with the configuration")
         if self.regime == GROWING_ROWS and self.area_rate is None:
             raise ValueError("growing-m regime needs an area_rate")
+        if self.area_rate is not None and not (math.isfinite(self.area_rate)
+                                               and self.area_rate > 0):
+            raise ValueError(f"area_rate must be finite and positive, got {self.area_rate}")
         if self.U_override is not None and self.U_override < 1:
             raise ValueError(f"U_override must be >= 1, got {self.U_override}")
 
@@ -94,10 +97,11 @@ def make_config(
     """Resolve a configuration for m-row grids.
 
     The run rate is computed exactly when the row count permits and
-    extrapolated from exact roots otherwise, so it never depends on ``seed``.
-    In the growing-rows regime the area rate is estimated by seeded Monte
-    Carlo on a fixed ladder of lattice sizes. To use rates already at hand,
-    build a :class:`DetectorConfig` directly.
+    extrapolated from exact roots otherwise. In the growing-rows regime the
+    area rate is -log rho_inf, the limit of those roots in m
+    (:func:`chainscan.rates.resolve_area_rate`). Both are deterministic and
+    ``seed`` is unused; it is kept so that existing callers still run. To use
+    rates already at hand, build a :class:`DetectorConfig` directly.
     """
     p = 1.0 - normal_cdf(x_star)
     if p <= 0.0:
@@ -108,7 +112,7 @@ def make_config(
     run_rate = resolve_run_rate(m, C, p)
     area_rate = None
     if regime == GROWING_ROWS:
-        area_rate = estimate_area_rate(p, C, _DEFAULT_AREA_SIZES, trials=24, seed=seed)
+        area_rate = resolve_area_rate(C, p)
     return DetectorConfig(
         C=C,
         x_star=x_star,

@@ -1,4 +1,4 @@
-"""Run-rate constant of across significant chains: exact, extrapolated and Monte Carlo.
+"""Run-rate and area-rate constants of significant chains, from exact Perron roots.
 
 The chance that an m-row strip preserves across significant chains from one
 column to the next converges to a constant in (0,1). It equals the Perron
@@ -13,15 +13,16 @@ classes of states that share a drift neighborhood, and it is certified by a
 Collatz-Wielandt bracket narrower than the requested tolerance. Past
 ``MAX_EXACT_ROWS``, the roots converge in m like a confined walk, and the
 rate is the least-squares fit rho_inf + a/m^2 + b/m^3 + c/m^4 to the exact
-roots at m = 10..15, evaluated at m. The Monte Carlo estimator is a
-cross-check.
+roots at m = 10..15, evaluated at m. The fit's intercept rho_inf, the limit
+of the roots in m, gives the area rate -log rho_inf of the jointly growing
+regime. The Monte Carlo run-rate estimator is a cross-check that no rate
+resolution uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +36,7 @@ __all__ = [
     "perron_root",
     "estimate_run_rate",
     "resolve_run_rate",
-    "estimate_area_rate",
+    "resolve_area_rate",
 ]
 
 EXACT_METHOD = "exact-spectral"
@@ -45,6 +46,8 @@ MC_METHOD = "monte-carlo"
 MAX_EXACT_ROWS = 20
 # row counts of the exact roots that the rate past MAX_EXACT_ROWS is fitted to
 _FIT_ROWS = (10, 11, 12, 13, 14, 15)
+# powers of m in that fit: rho_inf + a/m^2 + b/m^3 + c/m^4
+_FIT_POWERS = np.array([0.0, -2.0, -3.0, -4.0])
 # Krylov basis size, power steps per restart and restart cap of perron_root
 _BASIS = 20
 _POWER_STEPS = 4
@@ -235,16 +238,6 @@ def _below_one(lo: float, hi: float, op: TransferOperator) -> float:
     return float(np.nextafter(1.0, 0.0))
 
 
-def _monte_carlo_lengths(rng: np.random.Generator, trials: int, m: int, n: int, C: int,
-                         p: float) -> np.ndarray:
-    """Longest chain length of each of ``trials`` Bernoulli(p) m-by-n nets
-    drawn from ``rng``, the next batch drawn while this one is scored."""
-    return np.concatenate([
-        _kernels.chain_lengths(bits, C)
-        for bits in _kernels.drawn_ahead(lambda t: _kernels.bernoulli_stack(rng, t, m, n, p),
-                                         _kernels.trial_batches(trials, m, n))])
-
-
 def estimate_run_rate(
     m: int,
     C: int,
@@ -271,11 +264,21 @@ def estimate_run_rate(
     if not (0.0 < p < 1.0):
         raise ValueError(f"need p in (0,1), got {p}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, m, C]))
-    lengths = _monte_carlo_lengths(rng, trials, m, n_cols, C, p)
+    draws = _kernels.drawn_ahead(lambda t: _kernels.bernoulli_stack(rng, t, m, n_cols, p),
+                                 _kernels.trial_batches(trials, m, n_cols))
+    lengths = np.concatenate([_kernels.chain_lengths(bits, C) for bits in draws])
     estimates = [n_cols ** (-1.0 / float(s)) for s in lengths if s > 0]
     if not estimates:
         raise EstimationError("every trial produced an empty net; cannot estimate")
     return RunRate(float(np.mean(estimates)), m, C, p, MC_METHOD)
+
+
+def _fit_coefficients(C: int, p: float) -> np.ndarray:
+    """Least-squares coefficients (rho_inf, a, b, c) of rho_inf + a/m^2 + b/m^3
+    + c/m^4 fitted to the exact roots at m = 10..15."""
+    roots = [perron_root(build_transfer_operator(k, C, p)).value for k in _FIT_ROWS]
+    basis = np.array(_FIT_ROWS, dtype=np.float64)[:, None] ** _FIT_POWERS
+    return np.linalg.lstsq(basis, np.array(roots), rcond=None)[0]
 
 
 def resolve_run_rate(m: int, C: int, p: float) -> RunRate:
@@ -291,11 +294,7 @@ def resolve_run_rate(m: int, C: int, p: float) -> RunRate:
     """
     if m <= MAX_EXACT_ROWS:
         return perron_root(build_transfer_operator(m, C, p))
-    roots = [perron_root(build_transfer_operator(k, C, p)).value for k in _FIT_ROWS]
-    powers = np.array([0.0, -2.0, -3.0, -4.0])
-    basis = np.array(_FIT_ROWS, dtype=np.float64)[:, None] ** powers
-    coef = np.linalg.lstsq(basis, np.array(roots), rcond=None)[0]
-    value = float(m**powers @ coef)
+    value = float(m**_FIT_POWERS @ _fit_coefficients(C, p))
     if not value < 1.0:
         raise ValueError(
             f"extrapolated run rate {value} is not below 1 at m = {m}, C = {C}, p = {p}: "
@@ -305,21 +304,17 @@ def resolve_run_rate(m: int, C: int, p: float) -> RunRate:
     return RunRate(value, m, C, p, EXTRAPOLATED_METHOD)
 
 
-def estimate_area_rate(
-    p: float,
-    C: int,
-    sizes: Sequence[tuple[int, int]],
-    trials: int = 32,
-    seed: int = 0,
-) -> float:
-    """Rate constant of the jointly growing regime, where the longest
-    significant chain grows like log(m*n) divided by this constant.
+def resolve_area_rate(C: int, p: float) -> float:
+    """Rate constant of the jointly growing regime, -log rho_inf.
 
-    Requires p < 1/(2C+1), the subcritical guard under which the constant is
-    positive. Returns the reciprocal of the mean of length/log(m*n) at the
-    largest size. The smaller sizes are drawn first from the same generator
-    and scored, but only advance it (and fail when no trial there has a
-    significant cell); nothing is returned for them.
+    The longest significant chain in an m-by-n Bernoulli(p) net grows like
+    log(m*n) divided by this constant, the Erdos-Renyi law for long runs
+    (Arratia and Waterman, An Erdos-Renyi law with shifts, Adv. Math. 1985):
+    a cell starts a chain of at least L nodes with probability about
+    c * rho_inf^L, where rho_inf is the limit in m of the run rate. rho_inf is
+    the intercept of the fit ``resolve_run_rate`` makes past
+    ``MAX_EXACT_ROWS``. Requires p < 1/(2C+1), the subcritical guard under
+    which rho_inf <= (2C+1)p stays below 1.
     """
     if C < 1:
         raise ValueError(f"need C >= 1, got {C}")
@@ -327,21 +322,9 @@ def estimate_area_rate(
         raise ValueError(
             f"area rate requires p < 1/(2C+1) = {1.0 / (2 * C + 1):.4f}, got p={p}"
         )
-    if not sizes:
-        raise ValueError("need at least one (m, n) size")
-    if any(m < 2 for m, _ in sizes):
-        raise ValueError("joint-growth sizes need m >= 2")
-    areas = [m * n for m, n in sizes]
-    if any(b <= a for a, b in zip(areas, areas[1:])):
-        raise ValueError(f"sizes must strictly increase in area, got {areas}")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, C]))
-    rate = None
-    for m, n in sizes:
-        lengths = _monte_carlo_lengths(rng, trials, m, n, C, p)
-        mean_ratio = float(np.mean([float(s) / math.log(m * n) for s in lengths]))
-        if mean_ratio <= 0.0:
-            raise EstimationError(f"no significant chains at size {m}x{n}")
-        rate = 1.0 / mean_ratio
-    return rate
+    rho_inf = float(_fit_coefficients(C, p)[0])
+    if not (0.0 < rho_inf < 1.0):
+        raise ValueError(
+            f"fitted limit run rate {rho_inf} does not lie in (0,1) at C = {C}, p = {p}"
+        )
+    return -math.log(rho_inf)

@@ -15,7 +15,8 @@ already rejects are not scanned. The power estimator draws each trial's
 chain from its own stream and walks a batch's chains at once
 (``grid._clamped_walk``), with the rows ``generate_chain`` gives. Alarm
 calibration instead takes empirical quantiles of the exact run lengths and
-of the raw scan statistic, the scale that frame mode scores.
+of the raw scan statistic, the scale that frame mode scores. The seeds drive
+only these draws: the detector configuration is resolved without simulation.
 """
 
 from __future__ import annotations
@@ -118,9 +119,7 @@ def _estimate(rate_sum: int, trials: int, kind: str) -> ErrorEstimate:
 
 def config_for(spec: ExperimentSpec) -> DetectorConfig:
     """Resolve the detector configuration an experiment runs under."""
-    return make_config(
-        spec.m, spec.C, spec.x_star, spec.epsilon, spec.delta2, seed=spec.seed
-    )
+    return make_config(spec.m, spec.C, spec.x_star, spec.epsilon, spec.delta2)
 
 
 def _require_agreement(config: DetectorConfig, want: tuple, source: str) -> None:
@@ -237,7 +236,7 @@ def calibrate_alarms(
     if trials < needed:
         raise ValueError(f"need at least {needed} trials for alpha={alpha:g}, got {trials}")
     if config is None:
-        config = make_config(m, C, x_star, seed=seed)
+        config = make_config(m, C, x_star)
     _require_agreement(config, (m, C, x_star), "call")
     cap = _scan_cap(config, m, n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))

@@ -322,7 +322,7 @@ def test_criterion_frame_mode():
     at most 1.
     """
     t0 = time.time()
-    config = make_config(50, seed=17)
+    config = make_config(50)
     alpha = 0.01
     cuts = calibrate_alarms(50, 50, 1, config.x_star, alpha=alpha, trials=5000,
                             seed=18, config=config)

@@ -206,16 +206,19 @@ class TestDetectCommand:
         write_csv_grid(generate_null_grid(21, 30, seed=2), path)
         code, out, err = run_cli("detect", "--input", str(path))
         assert code == 0, err
-        for seed in ("1", "2"):
-            assert run_cli("detect", "--input", str(path), "--seed", seed) == (0, out, "")
+        assert run_cli("detect", "--input", str(path)) == (0, out, "")
         json.loads(out)
 
-    def test_growing_rows_need_seed(self, tmp_path):
+    def test_growing_rows_need_no_seed(self, tmp_path):
         path = tmp_path / "g.csv"
         write_csv_grid(generate_null_grid(10, 30, seed=2), path)
-        code, out, err = run_cli("detect", "--input", str(path), "--regime", "growing-m")
+        argv = ("detect", "--input", str(path), "--regime", "growing-m")
+        code, out, err = run_cli(*argv)
+        assert code == 0 and err == ""
+        assert run_cli(*argv) == (0, out, "")
+        code, out, err = run_cli(*argv, "--seed", "1")
         assert code == 2 and out == ""
-        assert "--seed" in err and "area rate" in err
+        assert "--seed" in err
 
 
 class TestFramesCommand:

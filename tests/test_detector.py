@@ -3,6 +3,7 @@ import pytest
 
 from chainscan import (
     UNREACHABLE,
+    DetectorConfig,
     ImageGrid,
     detect,
     detect_frames,
@@ -12,6 +13,7 @@ from chainscan import (
     longest_run_length,
     make_config,
     null_conditional_mean,
+    resolve_area_rate,
     scan_statistic,
     significance_map,
 )
@@ -57,6 +59,26 @@ class TestConfig:
 
     def test_rows_past_exact_rate_ignore_seed(self):
         assert make_config(50, seed=0).run_rate == make_config(50, seed=3).run_rate
+
+    def test_growing_rows_simulate_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rate was estimated by Monte Carlo")
+
+        for name in ("drawn_ahead", "bernoulli_stack"):
+            monkeypatch.setattr(_kernels, name, refuse)
+        monkeypatch.setattr(rates, "estimate_run_rate", refuse)
+        cfg = make_config(12, regime="growing-m", seed=5)
+        assert cfg == make_config(12, regime="growing-m", seed=0)
+        grid = generate_null_grid(12, 200, seed=2)
+        detect(grid, cfg)
+        detect_frames([grid, grid], cfg, 5.0, 3.0)
+
+    @pytest.mark.parametrize("area_rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_area_rate_must_be_finite_and_positive(self, config10, area_rate):
+        with pytest.raises(ValueError, match="area_rate must be finite and positive"):
+            DetectorConfig(C=1, x_star=config10.x_star, epsilon=config10.epsilon,
+                           delta2=config10.delta2, run_rate=config10.run_rate,
+                           regime="growing-m", area_rate=area_rate)
 
 
 class TestDetect:
@@ -155,8 +177,8 @@ class TestDetect:
             detect(grid, cfg)
 
     def test_growing_rows_regime_runs(self):
-        cfg = make_config(12, regime="growing-m", seed=5)
-        assert cfg.area_rate is not None and cfg.area_rate > 0
+        cfg = make_config(12, regime="growing-m")
+        assert cfg.area_rate == resolve_area_rate(1, cfg.p)
         grid = generate_null_grid(12, 200, seed=2)
         res = detect(grid, cfg)
         assert res.deciding_stage in ("step1", "step2", "none")
@@ -191,7 +213,7 @@ class TestFrames:
     def test_null_frames_no_alarms_at_reference_cuts(self):
         # cuts (69, 7.7): the run cut exceeds the frame width entirely and the
         # scan cut sits far above the null scan distribution
-        cfg = make_config(50, seed=17)
+        cfg = make_config(50)
         frames = [generate_null_grid(50, 50, seed=s) for s in range(50)]
         stats = detect_frames(frames, cfg, l0_alarm=69, scan_alarm=7.7)
         assert len(stats) == 50
@@ -200,7 +222,7 @@ class TestFrames:
         assert all(s.l0_length <= 50 for s in stats)
 
     def test_burst_frames_alarm_at_reference_cuts(self):
-        cfg = make_config(50, seed=17)
+        cfg = make_config(50)
         burst = range(20, 26)
         for rep in range(20):
             frames = []

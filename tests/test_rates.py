@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from chainscan import (
+    DEFAULT_X_STAR,
     CapacityError,
     ConvergenceError,
     build_transfer_operator,
-    estimate_area_rate,
     estimate_run_rate,
+    normal_cdf,
     perron_root,
+    resolve_area_rate,
     resolve_run_rate,
 )
-from chainscan import rates
+from chainscan import _kernels, rates
 
 
 def _mask(rows):
@@ -383,33 +385,51 @@ class TestExtrapolatedRate:
 
 class TestAreaRate:
     def test_decreasing_in_p(self):
-        hi = estimate_area_rate(0.01, 1, [(120, 120)], trials=12, seed=2)
-        lo = estimate_area_rate(0.1, 1, [(120, 120)], trials=12, seed=2)
-        assert hi > lo
+        assert resolve_area_rate(1, 0.01) > resolve_area_rate(1, 0.05) > resolve_area_rate(1, 0.1)
 
-    def test_size_self_consistency(self):
-        a = estimate_area_rate(0.1, 1, [(200, 200)], trials=24, seed=3)
-        b = estimate_area_rate(0.1, 1, [(400, 400)], trials=24, seed=3)
-        assert abs(a - b) / b < 0.15
-
-    def test_degenerate_single_row_rejected(self):
-        with pytest.raises(ValueError, match="m >= 2"):
-            estimate_area_rate(0.1, 1, [(1, 500)], trials=4, seed=0)
+    def test_is_minus_log_of_the_fitted_limit(self):
+        # rho_inf, the fit's intercept, sits just above the run rate at m = 50
+        at50 = resolve_run_rate(50, 1, 0.1).value
+        rho_inf = np.exp(-resolve_area_rate(1, 0.1))
+        assert at50 < rho_inf < at50 + 2e-3
 
     def test_supercritical_guard(self):
         with pytest.raises(ValueError, match=r"1/\(2C\+1\)"):
-            estimate_area_rate(0.34, 1, [(50, 50)], trials=4, seed=0)
+            resolve_area_rate(1, 0.34)
 
-    def test_sizes_must_grow(self):
-        with pytest.raises(ValueError, match="increase"):
-            estimate_area_rate(0.1, 1, [(100, 100), (50, 50)], trials=4, seed=0)
+    def test_drift_bound_guard(self):
+        with pytest.raises(ValueError, match="need C >= 1"):
+            resolve_area_rate(0, 0.1)
+
+    def test_limit_outside_unit_interval_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(rates, "_fit_coefficients",
+                            lambda C, p: np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match=r"does not lie in \(0,1\)"):
+            resolve_area_rate(1, 0.1)
+
+    @pytest.mark.parametrize("C", [1, 2])
+    def test_agrees_with_simulated_growth(self, C):
+        # the slope of the mean longest chain between 128^2 and 512^2 nets,
+        # 200 trials each, brackets -log rho_inf within 3 standard errors
+        p = 1.0 - normal_cdf(DEFAULT_X_STAR)
+        rng = np.random.default_rng(np.random.SeedSequence([0, C]))
+        means, variances = [], []
+        for side in (128, 512):
+            lengths = np.concatenate([
+                _kernels.chain_lengths(_kernels.bernoulli_stack(rng, t, side, side, p), C)
+                for t in _kernels.trial_batches(200, side, side)]).astype(float)
+            means.append(lengths.mean())
+            variances.append(lengths.var(ddof=1) / lengths.size)
+        slope = means[1] - means[0]
+        kappa = np.log(512**2 / 128**2) / slope
+        se = kappa * np.sqrt(sum(variances)) / slope
+        assert abs(kappa - resolve_area_rate(C, p)) < 3 * se
 
 
 class TestDrawAheadWorker:
     """The Monte Carlo rates join their draw-ahead worker on return and on error."""
 
-    CALLS = (lambda: estimate_run_rate(4, 1, 0.2, n_cols=1000, trials=6, seed=1),
-             lambda: estimate_area_rate(0.1, 1, [(20, 20), (30, 30)], trials=12, seed=1))
+    CALLS = (lambda: estimate_run_rate(4, 1, 0.2, n_cols=1000, trials=6, seed=1),)
 
     def test_worker_joined(self, monkeypatch):
         monkeypatch.setattr(rates._kernels, "_BATCH_CELLS", 4000)  # several batches each

@@ -7,15 +7,15 @@ every output bit-identical should print the same lines on both.
 
 The script imports ``chainscan`` from the ``src`` directory beside it and
 takes no flags. It covers configuration reprs, run rates past the exact
-operator's row guard, every CLI command's output and ``--help`` text,
-detection on seeded null and planted grids, frame mode and alarm calibration
-at 50x50, Monte Carlo calls that fit in one trial batch, power estimates
-whose planted chains decide some trials but not all, seeded chain draws, the
-batched kernels
-and witnesses (also on stacks with about 0.2-0.3 of their cells
-significant, and at drift windows C = 3 and 5 that reach past small grids'
-rows), the null grids of the complexity criterion, and the stdout of
-every demo. It runs in about a minute on two cores.
+operator's row guard, exact area rates, every CLI command's output and
+``--help`` text, detection on seeded null and planted grids in both
+regimes, frame mode and alarm calibration at 50x50, Monte Carlo calls that
+fit in one trial batch, power estimates whose planted chains decide some
+trials but not all, seeded chain draws, the batched kernels and witnesses
+(also on stacks with about 0.2-0.3 of their cells significant, and at drift
+windows C = 3 and 5 that reach past small grids' rows), the null grids of
+the complexity criterion, and the stdout of every demo. It runs in about a
+minute on two cores.
 """
 
 from __future__ import annotations
@@ -81,6 +81,9 @@ def configs() -> None:
          repr(cs.make_config(12, regime="growing-m", seed=5)))
     for m, C, p in ((21, 1, 0.1), (50, 1, 0.1), (30, 1, 0.2), (50, 2, 0.1)):
         emit(f"resolve_run_rate/m{m}-C{C}-p{p}", repr(cs.resolve_run_rate(m, C, p)))
+    for C in (1, 2, 3):
+        for p in (0.05, 1.0 - cs.normal_cdf(X_STAR)):
+            emit(f"resolve_area_rate/C{C}-p{p:.4g}", repr(cs.resolve_area_rate(C, p)))
 
 
 def commands(tmp: Path) -> None:
@@ -132,8 +135,7 @@ def detect_files(tmp: Path) -> None:
     path = tmp / "planted.csv"
     cs.write_csv_grid(grid, path)
     emit("detect/cli-planted", cli("detect", "--input", path))
-    emit("detect/cli-planted-growing", cli("detect", "--input", path, "--regime",
-                                           "growing-m", "--seed", 2))
+    emit("detect/cli-planted-growing", cli("detect", "--input", path, "--regime", "growing-m"))
     frames = tmp / "frames"
     frames.mkdir()
     for k in range(6):
@@ -196,6 +198,19 @@ def library_detect() -> None:
             chain = cs.generate_chain(m, n, 1, n // 3, seed=100 + seed)
             planted = cs.embed_chain(grid, chain, mu)
             emit(f"detect/planted-m{m}-seed{seed}-mu{mu}", payload(cs.detect(planted, config)))
+
+
+def growing_detect() -> None:
+    """Library ``detect`` in the growing-rows regime on null and planted grids at
+    two sizes, so that its Step I cut and scan cap are digested."""
+    for m, n in ((12, 300), (40, 1000)):
+        config = cs.make_config(m, regime="growing-m")
+        grid = cs.generate_null_grid(m, n, seed=m)
+        emit(f"detect/growing-null-m{m}-n{n}", payload(cs.detect(grid, config)))
+        for mu in (1.5, 4.0):
+            planted = cs.embed_chain(grid, cs.generate_chain(m, n, 1, n // 3, seed=n), mu)
+            emit(f"detect/growing-planted-m{m}-n{n}-mu{mu}",
+                 payload(cs.detect(planted, config)))
 
 
 def frames() -> None:
@@ -370,6 +385,7 @@ if __name__ == "__main__":
         pgm(Path(tmpdir))
     strong_chain()
     library_detect()
+    growing_detect()
     frames()
     one_batch()
     planted_power()
