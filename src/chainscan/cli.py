@@ -161,7 +161,7 @@ def _cmd_frames(args) -> int:
 
 _INTEGER = ((int,), "an integer")
 _NUMBER = ((int, float), "a number")
-# the JSON type of each simulate spec key, nested as in the spec
+# every simulate spec key and its JSON type, nested as in the spec
 _SPEC_TYPES = {"m": _INTEGER, "n": _INTEGER, "C": _INTEGER, "trials": _INTEGER,
                "seed": _INTEGER, "x_star": _NUMBER, "epsilon": _NUMBER, "delta2": _NUMBER,
                "mu": _NUMBER, "length_law": {"kind": ((str,), "a string"), "coef": _NUMBER}}
@@ -169,13 +169,13 @@ _SPEC_TYPES = {"m": _INTEGER, "n": _INTEGER, "C": _INTEGER, "trials": _INTEGER,
 
 def _check_spec_types(obj, table: dict, where: str) -> None:
     """Raise ValueError naming the key unless obj is a JSON object whose keys
-    in the table hold their JSON type; a bool is not a number here."""
+    are all in the table and hold their JSON type; a bool is not a number here."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object, got {obj!r}")
-    for key, want in table.items():
-        if key not in obj:
-            continue
-        value = obj[key]
+    for key, value in obj.items():
+        want = table.get(key)
+        if want is None:
+            raise ValueError(f"{where} has unknown key {key!r}")
         if isinstance(want, dict):
             _check_spec_types(value, want, f"{where} key '{key}'")
         elif isinstance(value, bool) or not isinstance(value, want[0]):
@@ -188,23 +188,13 @@ def _cmd_simulate(args) -> int:
     _check_spec_types(raw, _SPEC_TYPES, "spec JSON")
     if "seed" not in raw:
         raise ValueError("spec JSON must carry an explicit seed (no hidden entropy)")
-    law_raw = raw.get("length_law", {"kind": "linear", "coef": 0.1})
-    try:
-        m, n, kind, coef = raw["m"], raw["n"], law_raw["kind"], law_raw["coef"]
-    except KeyError as exc:
-        raise ValueError(f"spec JSON lacks required key {exc}") from None
-    spec = ExperimentSpec(
-        m=m,
-        n=n,
-        C=raw.get("C", 1),
-        x_star=raw.get("x_star", DEFAULT_X_STAR),
-        epsilon=raw.get("epsilon", DEFAULT_EPSILON),
-        delta2=raw.get("delta2", DEFAULT_DELTA2),
-        length_law=LengthLaw(kind, coef),
-        mu=raw.get("mu", 0.0),
-        trials=raw.get("trials", 100),
-        seed=raw["seed"],
-    )
+    law = raw.get("length_law")
+    for key, obj in (("m", raw), ("n", raw), ("kind", law), ("coef", law)):
+        if obj is not None and key not in obj:
+            raise ValueError(f"spec JSON lacks required key {key!r}")
+    if law is not None:
+        raw = {**raw, "length_law": LengthLaw(**law)}
+    spec = ExperimentSpec(**raw)
     config = config_for(spec)
     rows = [estimate_type1(spec, config=config)]
     if spec.mu > 0:

@@ -145,8 +145,8 @@ def min_detectable_mean_power_law(
         raise ValueError(f"need 0 < alpha <= 1, got {alpha}")
     if zeta <= 0.0 or n < 2:
         raise ValueError(f"need zeta > 0 and n >= 2, got zeta={zeta}, n={n}")
-    if eps <= 0.0:
-        raise ValueError(f"need eps > 0, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"need eps > 0 and finite, got {eps}")
     exponent = alpha * math.log(zeta * n) / ((1.0 + eps) * math.log(n))
     t = run_rate**exponent
     if t >= 1.0:
@@ -168,8 +168,8 @@ def _solve_min_mean(n: int, m: int, chain_length: float, delta2: float, x_star: 
         raise ValueError(f"need m >= 1, got m={m}")
     if chain_length <= 1.0:
         raise ValueError(f"chain length spec must exceed 1, got {chain_length:g}")
-    if delta2 <= 0.0:
-        raise ValueError(f"need delta2 > 0, got {delta2}")
+    if not (math.isfinite(delta2) and delta2 > 0.0):
+        raise ValueError(f"need delta2 > 0 and finite, got {delta2}")
     rhs = math.sqrt((2.0 + delta2) * math.log(m * n))
     log_len = math.log(chain_length)
 
@@ -239,8 +239,10 @@ def decision_thresholds(
     """
     if not (0.0 < run_rate < 1.0):
         raise ValueError(f"run rate must lie in (0,1), got {run_rate}")
-    if epsilon <= 0.0 or delta2 <= 0.0:
-        raise ValueError("epsilon and delta2 must be positive")
+    if not all(math.isfinite(v) and v > 0.0 for v in (epsilon, delta2)):
+        raise ValueError(
+            f"epsilon and delta2 must be positive and finite, got {epsilon}, {delta2}"
+        )
     if n < 2 or m < 1:
         raise ValueError(f"need n >= 2 and m >= 1, got n={n}, m={m}")
     step1 = (1.0 + epsilon / 2.0) * math.log(n) / math.log(1.0 / run_rate)

@@ -5,16 +5,18 @@ otherwise Step II rejects when the capped normalized scan statistic, centered
 at the null conditional mean of a significant node, exceeds its threshold.
 The growing-lattice regime swaps the Step I cut and the scan cap for ones
 based on the joint-growth rate constant, -log of the limit run rate, so no
-configuration is resolved by simulation. Frame mode scores the raw
-(uncentered) scan statistic against empirical cuts. Frame mode and the Monte
-Carlo harness compute both statistics on stacks of trials through one
-batched path.
+configuration is resolved by simulation. Every entry point (detection,
+frame mode and the Monte Carlo harness) resolves the cuts and the scan cap
+of a configuration on the grid shape once, and so runs all of its checks,
+before any stage runs. Frame mode scores the raw (uncentered) scan
+statistic against empirical cuts. Frame mode and the Monte Carlo harness
+compute both statistics on stacks of trials through one batched path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,51 +160,51 @@ class DetectionResult:
     witness: ChainPath | None
 
 
-def _thresholds_for(config: DetectorConfig, m: int, n: int) -> Thresholds:
-    if config.regime == GROWING_ROWS:
-        step1 = (1.0 + config.epsilon / 2.0) * math.log(m * n) / config.area_rate
-        step2 = math.sqrt(2.0 * (1.0 + config.delta2) * math.log(m * n))
-        return Thresholds(step1, step2, config.x_star, config.epsilon, config.delta2)
-    return decision_thresholds(
+def _resolve(config: DetectorConfig, m: int, n: int) -> tuple[Thresholds, int]:
+    """Decision cuts and scan cap of ``config`` on an m-by-n grid.
+
+    Every detection entry point calls this once, before any stage runs, so
+    both regimes share its checks: a fixed-m config must match the grid's
+    rows, :func:`decision_thresholds` guards n, m, epsilon and delta2, and a
+    ``U_override`` may not exceed n. The cap is 3 log N / rate, clipped to
+    [1, n], on the scale of each regime's Step I cut: (log n, log(1/rho))
+    for fixed m and (log(mn), area rate) for growing m.
+    """
+    if config.regime == FIXED_ROWS and m != config.run_rate.m:
+        raise ValueError(
+            f"configuration was resolved for m = {config.run_rate.m}, grid has m = {m}"
+        )
+    thr = decision_thresholds(
         n, m, config.run_rate.value, config.epsilon, config.delta2, config.x_star
     )
-
-
-def _scan_cap(config: DetectorConfig, m: int, n: int) -> int:
-    if config.U_override is not None:
-        if config.U_override > n:
-            raise ValueError(f"U_override {config.U_override} exceeds n = {n}")
-        return config.U_override
     if config.regime == GROWING_ROWS:
-        cap = math.ceil(3.0 * math.log(m * n) / config.area_rate)
+        log_size, rate = math.log(m * n), config.area_rate
+        thr = replace(thr, step1=(1.0 + config.epsilon / 2.0) * log_size / rate)
     else:
-        cap = math.ceil(3.0 * config.run_rate.log_columns(n))
-    return max(1, min(n, cap))
-
-
-def _check_geometry(config: DetectorConfig, grid: ImageGrid) -> None:
-    if config.regime == FIXED_ROWS and grid.m != config.run_rate.m:
-        raise ValueError(
-            f"configuration was resolved for m = {config.run_rate.m}, grid has m = {grid.m}"
-        )
+        log_size, rate = math.log(n), math.log(1.0 / config.run_rate.value)
+    if config.U_override is None:
+        return thr, max(1, min(n, math.ceil(3.0 * (log_size / rate))))
+    if config.U_override > n:
+        raise ValueError(f"U_override {config.U_override} exceeds n = {n}")
+    return thr, config.U_override
 
 
 def detect(grid: ImageGrid, config: DetectorConfig) -> DetectionResult:
     """Run the two-step detector on one grid.
 
     Deterministic: identical grid and configuration give identical results.
+    Every check of the configuration against the grid runs before either
+    stage, so a config that disagrees with the grid fails whatever the data.
     The witness is the chain behind whichever statistic decided. The run
     stage runs once per grid: its one pass gives the length and the Step I
     witness.
     """
-    _check_geometry(config, grid)
-    thr = _thresholds_for(config, grid.m, grid.n)
+    thr, U = _resolve(config, grid.m, grid.n)
     sig = significance_map(grid, config.x_star)
     run = longest_run_length(sig, config.C)
     if run.length > thr.step1:
         return DetectionResult(True, "step1", run.length, None, thr, run.witness)
-    scan = scan_statistic(grid, sig, config.C, _scan_cap(config, grid.m, grid.n),
-                          center=null_conditional_mean(config.x_star))
+    scan = scan_statistic(grid, sig, config.C, U, center=null_conditional_mean(config.x_star))
     if scan.value > thr.step2:
         return DetectionResult(True, "step2", run.length, scan.value, thr, scan.arg_chain)
     return DetectionResult(False, "none", run.length, scan.value, thr, None)
@@ -243,7 +245,12 @@ def detect_frames(
     on that of the asymptotic Step II cut. Frames are scored in stacked
     batches of about ``_kernels._BATCH_CELLS`` cells, with the same values
     as the single-grid statistics; the output follows the input order.
+    A NaN cut is an error; an infinite one is allowed, and +inf switches its
+    statistic's alarm off.
     """
+    for name, cut in (("l0_alarm", l0_alarm), ("scan_alarm", scan_alarm)):
+        if math.isnan(cut):
+            raise ValueError(f"{name} must not be NaN")
     frames = list(frames)
     if not frames:
         return []
@@ -251,8 +258,7 @@ def detect_frames(
     for k, frame in enumerate(frames):
         if (frame.m, frame.n) != (m, n):
             raise ValueError(f"frame {k} is {frame.m}x{frame.n}, expected {m}x{n}")
-    _check_geometry(config, frames[0])
-    U = _scan_cap(config, m, n)
+    _, U = _resolve(config, m, n)
     batches, done = [], 0
     for t in _kernels.trial_batches(len(frames), m, n):
         stack = np.stack([g.values for g in frames[done : done + t]])

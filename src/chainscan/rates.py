@@ -68,10 +68,6 @@ class RunRate:
         if not (0.0 < self.value < 1.0):
             raise ValueError(f"run rate must lie in (0,1), got {self.value}")
 
-    def log_columns(self, n: int) -> float:
-        """log base (1/rate) of n, the natural scale of longest-run growth."""
-        return math.log(n) / math.log(1.0 / self.value)
-
 
 class TransferOperator:
     """Substochastic transfer operator on nonempty row subsets of [1, m].

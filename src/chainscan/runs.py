@@ -22,28 +22,24 @@ _BRUTE_MAX_COLS = 12
 
 @dataclass(frozen=True)
 class RunResult:
-    """Longest-run length (node count) and, when requested, a witness chain."""
+    """Longest-run length (node count) and a witness chain (None at length 0)."""
 
     length: int
     witness: ChainPath | None
 
 
-def longest_run_length(sig_map: SignificanceMap, C: int, witness: bool = True) -> RunResult:
+def longest_run_length(sig_map: SignificanceMap, C: int) -> RunResult:
     """Exact longest significant chain length under drift bound C.
 
     The length comes from one pass of layer propagation: dense steps while
     many cells still end a chain, then steps over the live cells only, so
-    the cost follows the answer and the live cells at any depth. With
-    ``witness=True`` the same pass also gives the row-major first cell
-    (smallest row, then smallest column) that ends a longest chain, and a
-    backtrack from it rebuilds the witness: each earlier node takes the
-    smallest row that keeps the chain. ``witness=False`` skips the
-    backtrack.
+    the cost follows the answer and the live cells at any depth. The same
+    pass also gives the row-major first cell (smallest row, then smallest
+    column) that ends a longest chain, and a backtrack from it rebuilds the
+    witness: each earlier node takes the smallest row that keeps the chain.
     """
     if C < 0:
         raise ValueError(f"drift bound C must be >= 0, got {C}")
-    if not witness:
-        return RunResult(int(_kernels.chain_lengths(sig_map.bits, C)[0]), None)
     length, start0, rows0 = _kernels.longest_chain_with_witness(sig_map.bits, C)
     if length == 0:
         return RunResult(0, None)

@@ -49,7 +49,6 @@ def scan_statistic(
     sig_map: SignificanceMap,
     C: int,
     U: int,
-    witness: bool = True,
     center: float = 0.0,
 ) -> ScanResult:
     """Exact capped scan statistic via the length-indexed recursion.
@@ -71,8 +70,6 @@ def scan_statistic(
     value, i0, j0, u = _kernels.scan_best_single(grid.values, sig_map.bits, C, U, center)
     if value == UNREACHABLE:
         return ScanResult(UNREACHABLE, None, None)
-    if not witness:
-        return ScanResult(value, None, u)
     rows0 = _kernels.backtrack(grid.values, sig_map.bits, C, i0, j0, u)
     chain = ChainPath(j0 - u + 2, tuple(r + 1 for r in rows0))
     return ScanResult(value, chain, u)

@@ -33,7 +33,7 @@ from .detectability import (
     DEFAULT_X_STAR,
     null_conditional_mean,
 )
-from .detector import DetectorConfig, _scan_cap, _stack_stats, _thresholds_for, make_config
+from .detector import DetectorConfig, _resolve, _stack_stats, make_config
 from .grid import ChainPath, _chain_draw, _clamped_walk
 
 __all__ = [
@@ -152,8 +152,7 @@ def _rejection_rate(spec: ExperimentSpec, config: DetectorConfig | None, stream:
     if spec.trials < 50:
         raise ValueError(f"need trials >= 50 for a rate estimate, got {spec.trials}")
     config = _checked_config(spec, config)
-    thr = _thresholds_for(config, spec.m, spec.n)
-    cap = _scan_cap(config, spec.m, spec.n)
+    thr, cap = _resolve(config, spec.m, spec.n)
     center = null_conditional_mean(config.x_star)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, stream]))
     hits = done = 0
@@ -238,7 +237,7 @@ def calibrate_alarms(
     if config is None:
         config = make_config(m, C, x_star)
     _require_agreement(config, (m, C, x_star), "call")
-    cap = _scan_cap(config, m, n)
+    _, cap = _resolve(config, m, n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     batches = [_stack_stats(x, config, cap)
                for x in _kernels.drawn_ahead(lambda t: rng.standard_normal((t, m, n)),

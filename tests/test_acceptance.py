@@ -175,10 +175,10 @@ def test_criterion_oracle_equivalence():
     worst_scan = 0.0
     for _ in range(instances):
         grid, sig, C = random_instance(rng, max_m=4, max_n=10, Cs=(1, 2))
-        fast_len = longest_run_length(sig, C, witness=False).length
+        fast_len = longest_run_length(sig, C).length
         brute_len = longest_run_bruteforce(sig, C)
         assert fast_len == brute_len, (sig.bits, C)
-        fast_scan = scan_statistic(grid, sig, C, U=sig.n, witness=False).value
+        fast_scan = scan_statistic(grid, sig, C, U=sig.n).value
         brute_scan = scan_bruteforce(grid, sig, C)
         if fast_scan == UNREACHABLE or brute_scan == UNREACHABLE:
             assert fast_scan == brute_scan
@@ -202,7 +202,7 @@ def test_criterion_run_length_laws():
     for seed in range(100):
         grid = generate_null_grid(1, n, seed=seed)
         sig = significance_map(grid, x_star_1)
-        ratios.append(longest_run_length(sig, 1, witness=False).length / target1)
+        ratios.append(longest_run_length(sig, 1).length / target1)
     results.append(("single-row", float(np.mean(ratios))))
     # ten rows, p = 0.1, frozen reference rate 0.2691
     target10 = math.log(n) / math.log(1 / RATE_10)
@@ -210,7 +210,7 @@ def test_criterion_run_length_laws():
     for seed in range(100):
         grid = generate_null_grid(10, n, seed=seed + 7000)
         sig = significance_map(grid, X_STAR)
-        ratios.append(longest_run_length(sig, 1, witness=False).length / target10)
+        ratios.append(longest_run_length(sig, 1).length / target10)
     results.append(("ten-row", float(np.mean(ratios))))
     elapsed = time.time() - t0
     ok = all(0.85 <= r <= 1.15 for _, r in results) and elapsed < 120.0

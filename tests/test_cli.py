@@ -146,6 +146,17 @@ class TestMuTableCommand:
             assert out == ""
             assert message in err
 
+    @pytest.mark.parametrize("mode, knob, message", [
+        ("log", "--delta2", "need delta2 > 0 and finite"),
+        ("sqrt", "--epsilon", "need eps > 0 and finite"),
+        ("power", "--epsilon", "need eps > 0 and finite"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_knob_is_argument_error(self, mode, knob, message, value):
+        code, out, err = run_cli("mu-table", "--mode", mode, "--rho", "0.2691", knob, value)
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "t.csv"
         code, out, _ = run_cli("mu-table", "--mode", "log", "--m", "10", "--C", "1",
@@ -197,6 +208,28 @@ class TestDetectCommand:
         assert code == 2
         assert "standardize" in err
 
+    @pytest.mark.parametrize("knob", [("--epsilon", "nan"), ("--delta2", "nan"),
+                                      ("--epsilon", "inf"),
+                                      ("--regime", "growing-m", "--epsilon", "-3")])
+    def test_bad_knob_is_argument_error(self, tmp_path, knob):
+        path = tmp_path / "g.csv"
+        write_csv_grid(generate_null_grid(10, 60, seed=1), path)
+        code, out, err = run_cli("detect", "--input", str(path), *knob)
+        assert code == 2 and out == ""
+        assert "epsilon and delta2 must be positive and finite" in err
+
+    def test_u_cap_above_columns_is_argument_error(self, tmp_path):
+        # Step I decides this grid, so the scan stage that reads the cap never runs
+        grid = generate_null_grid(10, 300, seed=1)
+        grid = embed_chain(grid, generate_chain(10, 300, 1, 200, seed=2), 4.0)
+        path = tmp_path / "g.csv"
+        write_csv_grid(grid, path)
+        code, out, err = run_cli("detect", "--input", str(path))
+        assert code == 0 and json.loads(out)["stage"] == "step1"
+        code, out, err = run_cli("detect", "--input", str(path), "--u-cap", "100000")
+        assert code == 2 and out == ""
+        assert "exceeds n = 300" in err
+
     def test_unknown_flag(self):
         code, _, err = run_cli("detect", "--input", "x.csv", "--bogus", "1")
         assert code == 2
@@ -237,6 +270,15 @@ class TestFramesCommand:
             cells = line.split(",")
             assert int(cells[0]) == k
             assert cells[3] in ("0", "1")
+
+    @pytest.mark.parametrize("cut", ["--l0-alarm", "--scan-alarm"])
+    def test_nan_cut_is_argument_error(self, tmp_path, cut):
+        write_csv_grid(generate_null_grid(10, 50, seed=0), tmp_path / "f0.csv")
+        cuts = {"--l0-alarm": "69", "--scan-alarm": "7.7", cut: "nan"}
+        code, out, err = run_cli("frames", "--dir", str(tmp_path),
+                                 *(arg for pair in cuts.items() for arg in pair))
+        assert code == 2 and out == ""
+        assert f"{cut[2:].replace('-', '_')} must not be NaN" in err
 
     def test_missing_dir(self):
         code, _, err = run_cli("frames", "--dir", "nowhere", "--l0-alarm", "5",
@@ -308,6 +350,17 @@ class TestSimulateCommand:
         code, out, err = run_cli("simulate", "--spec", str(spec))
         assert code == 2 and out == ""
         assert f"'{key}'" in err
+
+    @pytest.mark.parametrize("where, key", [("spec JSON", "trails"),
+                                            ("spec JSON key 'length_law'", "coeff")])
+    def test_unknown_key_is_usage_error(self, tmp_path, where, key):
+        raw = {"m": 6, "n": 200, "seed": 1, "length_law": {"kind": "linear", "coef": 0.2}}
+        (raw if where == "spec JSON" else raw["length_law"])[key] = 5
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(raw))
+        code, out, err = run_cli("simulate", "--spec", str(spec))
+        assert code == 2 and out == ""
+        assert f"{where} has unknown key '{key}'" in err
 
     def test_spec_must_be_an_object(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -129,6 +129,12 @@ class TestPowerLawMean:
             min_detectable_mean_power_law(100, 10, 1, RATE_10, 1.0, 0.005,
                                           eps=1e-4, x_star=X_STAR)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="need eps > 0 and finite"):
+            min_detectable_mean_power_law(200, 10, 1, RATE_10, 1.0, 0.1, eps=eps,
+                                          x_star=X_STAR)
+
     @pytest.mark.parametrize("m, C, message", [(0, 1, "need m >= 1, got 0"),
                                                (-3, 1, "need m >= 1, got -3"),
                                                (10, 0, "need C >= 1, got 0")])
@@ -162,6 +168,12 @@ class TestLogLengthMean:
         lhs = mu * math.sqrt(math.log(c * math.log(n)) / math.log(1.0 / p1))
         rhs = math.sqrt((2 + delta2) * math.log(10 * n))
         assert lhs == pytest.approx(rhs, abs=1e-6)
+
+    @pytest.mark.parametrize("delta2", [math.nan, math.inf, 0.0])
+    def test_delta2_must_be_finite_and_positive(self, delta2):
+        for solver in (min_detectable_mean_log_length, min_detectable_mean_sqrt_length):
+            with pytest.raises(ValueError, match="need delta2 > 0 and finite"):
+                solver(1000, 10, 2.0, delta2=delta2, x_star=X_STAR)
 
     def test_short_length_rejected(self):
         with pytest.raises(ValueError):
@@ -205,3 +217,9 @@ class TestDecisionThresholds:
             decision_thresholds(1000, 10, 1.2)
         with pytest.raises(ValueError):
             decision_thresholds(1000, 10, 0.3, epsilon=0.0)
+
+    @pytest.mark.parametrize("knob", ["epsilon", "delta2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_knobs_rejected(self, knob, value):
+        with pytest.raises(ValueError, match="epsilon and delta2 must be positive and finite"):
+            decision_thresholds(1000, 10, RATE_10, **{knob: value})

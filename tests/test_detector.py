@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 from chainscan import (
     UNREACHABLE,
     DetectorConfig,
+    ExperimentSpec,
     ImageGrid,
+    calibrate_alarms,
     detect,
     detect_frames,
     embed_chain,
+    estimate_type1,
     generate_chain,
     generate_null_grid,
     longest_run_length,
@@ -18,7 +23,7 @@ from chainscan import (
     significance_map,
 )
 from chainscan import _kernels, rates
-from chainscan.detector import _scan_cap
+from chainscan.detector import _resolve
 from conftest import check_chain
 
 
@@ -144,7 +149,7 @@ class TestDetect:
             if res.x_star_s is None:
                 continue
             sig = significance_map(grid, config10.x_star)
-            cap = _scan_cap(config10, grid.m, grid.n)
+            cap = _resolve(config10, grid.m, grid.n)[1]
             batched = _kernels.scan_values(grid.values, sig.bits, config10.C, cap, lam)[0]
             raw = _kernels.scan_values(grid.values, sig.bits, config10.C, cap)[0]
             assert res.x_star_s == batched
@@ -184,6 +189,50 @@ class TestDetect:
         assert res.deciding_stage in ("step1", "step2", "none")
 
 
+# each detection entry point on one m x n grid shape under a config
+_ENTRY_POINTS = {
+    "detect": lambda cfg, m, n: detect(ImageGrid(np.zeros((m, n))), cfg),
+    "detect_frames": lambda cfg, m, n: detect_frames([ImageGrid(np.zeros((m, n)))], cfg,
+                                                     5, 5.0),
+    "estimate_type1": lambda cfg, m, n: estimate_type1(ExperimentSpec(
+        m=m, n=n, epsilon=cfg.epsilon, delta2=cfg.delta2, trials=50, seed=0)),
+    "calibrate_alarms": lambda cfg, m, n: calibrate_alarms(m, n, cfg.C, cfg.x_star, 1.0,
+                                                           50, 0, config=cfg),
+}
+
+
+class TestResolve:
+    """Every entry point checks a config against the grid shape before any stage."""
+
+    @pytest.mark.parametrize("knobs", [dict(epsilon=-3.0), dict(delta2=-0.99999)])
+    def test_growing_rows_knobs_must_be_positive(self, knobs):
+        cfg = make_config(12, regime="growing-m", **knobs)
+        with pytest.raises(ValueError, match="epsilon and delta2 must be positive"):
+            detect(generate_null_grid(12, 200, seed=2), cfg)
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("knobs", [dict(epsilon=math.nan), dict(delta2=math.nan),
+                                       dict(epsilon=math.inf), dict(delta2=math.inf)])
+    def test_non_finite_knobs_rejected(self, entry, knobs):
+        with pytest.raises(ValueError, match="epsilon and delta2 must be positive and finite"):
+            _ENTRY_POINTS[entry](make_config(6, **knobs), 6, 40)
+
+    @pytest.mark.parametrize("entry, regime", [("detect", "fixed-m"), ("detect", "growing-m"),
+                                               ("detect_frames", "fixed-m"),
+                                               ("calibrate_alarms", "fixed-m")])
+    def test_single_column_rejected(self, entry, regime):
+        with pytest.raises(ValueError, match="need n >= 2 and m >= 1, got n=1, m=6"):
+            _ENTRY_POINTS[entry](make_config(6, regime=regime), 6, 1)
+
+    @pytest.mark.parametrize("regime", ["fixed-m", "growing-m"])
+    def test_u_override_checked_when_step1_decides(self, regime):
+        base = generate_null_grid(10, 300, seed=1)
+        grid = embed_chain(base, generate_chain(10, 300, 1, 200, seed=2), 4.0)
+        assert detect(grid, make_config(10, regime=regime)).deciding_stage == "step1"
+        with pytest.raises(ValueError, match="U_override 100000 exceeds n = 300"):
+            detect(grid, make_config(10, regime=regime, U_override=100_000))
+
+
 class TestMonotonePower:
     def test_rejection_rate_nondecreasing_in_mean(self):
         from chainscan import ExperimentSpec, LengthLaw, estimate_power
@@ -204,6 +253,15 @@ class TestMonotonePower:
 class TestFrames:
     def test_empty_sequence(self, config10):
         assert detect_frames([], config10, 5, 5) == []
+
+    @pytest.mark.parametrize("cuts, name", [((math.nan, 5.0), "l0_alarm"),
+                                            ((5, math.nan), "scan_alarm")])
+    def test_nan_cut_rejected(self, config10, cuts, name):
+        frames = [generate_null_grid(10, 50, seed=0)]
+        with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+            detect_frames(frames, config10, *cuts)
+        # an infinite cut switches its statistic's alarm off
+        assert not detect_frames(frames, config10, math.inf, math.inf)[0].alarm
 
     def test_dimension_mismatch(self, config10):
         frames = [generate_null_grid(10, 20, seed=0), generate_null_grid(10, 21, seed=1)]
@@ -247,11 +305,11 @@ class TestFrames:
         frames = [generate_null_grid(10, 100, seed=s) for s in range(count - 1)]
         frames.insert(count // 2, ImageGrid(np.zeros((10, 100))))  # nothing significant
         stats = detect_frames(frames, config10, 6, 5.0)
-        cap = _scan_cap(config10, 10, 100)
+        cap = _resolve(config10, 10, 100)[1]
         for k, (frame, st) in enumerate(zip(frames, stats)):
             sig = significance_map(frame, config10.x_star)
-            length = longest_run_length(sig, config10.C, witness=False).length
-            value = scan_statistic(frame, sig, config10.C, cap, witness=False).value
+            length = longest_run_length(sig, config10.C).length
+            value = scan_statistic(frame, sig, config10.C, cap).value
             assert (st.index, st.l0_length, st.x_star_s) == (k, length, value)
             assert st.alarm == (length > 6 or value > 5.0)
         assert len(stats) == count

@@ -50,11 +50,6 @@ class TestLongestRun:
         sm = SignificanceMap(bits)
         assert longest_run_length(sm, C=0).length == 3
 
-    def test_witness_optional(self):
-        sm = _map_from_pattern(3, 5, PATTERN_NODES)
-        res = longest_run_length(sm, C=1, witness=False)
-        assert res.length == 5 and res.witness is None
-
     @pytest.mark.parametrize("ratio", [1, 4, 512])
     def test_tie_witness_independent_of_engine(self, ratio, monkeypatch):
         # two disjoint 5-runs: the witness ends at the row-major first endpoint
@@ -109,7 +104,7 @@ class TestOracleEquivalence:
         bits = np.array(
             data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
         ).reshape(m, n)
-        base = longest_run_length(SignificanceMap(bits), C, witness=False).length
+        base = longest_run_length(SignificanceMap(bits), C).length
         if bits.all():
             return
         flat = np.flatnonzero(~bits.ravel())
@@ -117,5 +112,5 @@ class TestOracleEquivalence:
         grown = bits.copy().ravel()
         grown[pick] = True
         grown = grown.reshape(m, n)
-        more = longest_run_length(SignificanceMap(grown), C, witness=False).length
+        more = longest_run_length(SignificanceMap(grown), C).length
         assert more >= base

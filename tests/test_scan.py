@@ -100,7 +100,7 @@ class TestScanStatistic:
             g, sm, C = random_instance(rng)
             prev = None
             for U in range(1, sm.n + 1):
-                val = scan_statistic(g, sm, C, U, witness=False).value
+                val = scan_statistic(g, sm, C, U).value
                 if prev is not None:
                     assert val >= prev
                 prev = val
@@ -132,7 +132,7 @@ class TestBruteForce:
         # fast slice; the full sweep runs in the acceptance suite
         for _ in range(400):
             g, sm, C = random_instance(rng)
-            dp = scan_statistic(g, sm, C, U=sm.n, witness=False).value
+            dp = scan_statistic(g, sm, C, U=sm.n).value
             brute = scan_bruteforce(g, sm, C)
             if brute == UNREACHABLE:
                 assert dp == UNREACHABLE
@@ -149,7 +149,7 @@ class TestCenteredScan:
         for k in range(300):
             g, sm, C = random_instance(rng)
             center = self.CENTERS[k % len(self.CENTERS)]
-            dp = scan_statistic(g, sm, C, U=sm.n, witness=False, center=center).value
+            dp = scan_statistic(g, sm, C, U=sm.n, center=center).value
             batched = _kernels.scan_values(g.values, sm.bits, C, sm.n, center)[0]
             brute = scan_bruteforce(g, sm, C, center=center)
             if brute == UNREACHABLE:

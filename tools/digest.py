@@ -180,7 +180,7 @@ def strong_chain() -> None:
                 values[np.asarray(rows) - 1, np.arange(start - 1, start - 1 + len(rows))] += 4.0
                 grid = cs.ImageGrid(values)
                 sig = cs.significance_map(grid, X_STAR)
-                if cs.longest_run_length(sig, 1, witness=False).length > 512:
+                if cs.longest_run_length(sig, 1).length > 512:
                     break
             emit(f"detect/strong-chain-seed{seed}-{k}", payload(cs.detect(grid, config)))
 
