@@ -21,11 +21,15 @@ its end and its witness do not depend on the phase, at any depth. A stop
 layer ends both phases early for a caller that reads only whether a length
 passes a cut below it.
 
-The Monte Carlo loops draw their stacks through :func:`drawn_ahead`: one
-batch of :func:`trial_batches` is drawn ahead on one worker thread while the
-caller scores the current one. The worker alone calls the generator, in the
-loop's order, so every output is bit-identical to a sequential loop; there
-is no option to set.
+The Monte Carlo loops draw null stacks sparsely: Bernoulli(p) significance
+bits from :func:`bernoulli_stack`, and values on set bits from
+:func:`_normal_tail`, N(0, 1) truncated to (x*, inf). The loops that read
+every trial (alarm calibration, the run-rate estimator) draw through
+:func:`drawn_ahead`: one batch of :func:`trial_batches` is drawn ahead on one
+worker thread while the caller scores the current one. The worker alone
+calls the generator, in the loop's order, so every output is bit-identical
+to a sequential loop; there is no option to set. The error-rate loop draws
+values only for the trials that Step I leaves, so it draws in line.
 """
 
 from __future__ import annotations
@@ -347,3 +351,28 @@ def bernoulli_stack(rng: np.random.Generator, T: int, m: int, n: int, p: float) 
         chunk = out[start : start + _BATCH_CELLS]
         np.less(rng.random(chunk.size, dtype=np.float32), p, out=chunk)
     return out.reshape(T, m, n)
+
+
+def _normal_tail(rng: np.random.Generator, size: int, a: float) -> np.ndarray:
+    """``size`` i.i.d. N(0, 1) values conditioned to exceed ``a``, each strictly.
+
+    Robert's exact rejection sampler (*Simulation of truncated normal
+    variables*, Stat. Comput. 5, 1995): propose y = a + E/alpha, E ~ Exp(1),
+    alpha = (a + sqrt(a^2 + 4))/2, and accept with probability
+    exp(-(y - alpha)^2/2), drawn as a second Exp(1) that exceeds
+    (y - alpha)^2/2. A y that rounds to a is rejected. Each round draws a
+    quarter more proposal pairs than it still needs (about 0.9 are accepted
+    at a = 1.28) and keeps the first accepted values, in order; ``size = 0``
+    draws nothing.
+    """
+    alpha = (a + math.sqrt(a * a + 4.0)) / 2.0
+    out = np.empty(size)
+    done = 0
+    while done < size:
+        need = size - done
+        e = rng.standard_exponential((2, need + need // 4 + 8))
+        y = a + e[0] / alpha
+        y = y[(e[1] > 0.5 * (y - alpha) ** 2) & (y > a)][:need]
+        out[done : done + y.size] = y
+        done += y.size
+    return out

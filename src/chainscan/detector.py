@@ -9,8 +9,9 @@ configuration is resolved by simulation. Every entry point (detection,
 frame mode and the Monte Carlo harness) resolves the cuts and the scan cap
 of a configuration on the grid shape once, and so runs all of its checks,
 before any stage runs. Frame mode scores the raw (uncentered) scan
-statistic against empirical cuts. Frame mode and the Monte Carlo harness
-compute both statistics on stacks of trials through one batched path.
+statistic against empirical cuts. Frame mode and alarm calibration compute
+both statistics on stacks of trials through one batched path; the Monte
+Carlo rejection loop calls the same kernels.
 """
 
 from __future__ import annotations
@@ -210,25 +211,12 @@ def detect(grid: ImageGrid, config: DetectorConfig) -> DetectionResult:
     return DetectionResult(False, "none", run.length, scan.value, thr, None)
 
 
-def _stack_stats(x: np.ndarray, config: DetectorConfig, U: int, center: float = 0.0,
-                 step1: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
-    """Longest-run lengths and capped scan values of a (T, m, n) intensity stack.
-
-    A trial whose length already exceeds a finite ``step1`` is decided by
-    Step I: the run stage stops at layer floor(step1) + 1, so its length
-    reads min(longest, floor(step1) + 1), which still exceeds ``step1``, and
-    it is not scanned; its value is NaN, which exceeds no cut. Every other
-    length is exact, and with the default infinite ``step1`` all are.
-    """
-    z = x > config.x_star
-    stop = math.floor(step1) + 1 if math.isfinite(step1) else None
-    lengths = _kernels.chain_lengths(z, config.C, stop=stop)
-    scan = lengths <= step1
-    if not scan.all():
-        x, z = x[scan], z[scan]
-    values = np.full(len(lengths), np.nan)
-    values[scan] = _kernels.scan_values(x, z, config.C, U, center)
-    return lengths, values
+def _stack_stats(x: np.ndarray, z: np.ndarray, config: DetectorConfig,
+                 U: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact longest-run lengths and raw capped scan values of a (T, m, n)
+    intensity stack ``x`` with significance bits ``z``."""
+    return (_kernels.chain_lengths(z, config.C),
+            _kernels.scan_values(x, z, config.C, U))
 
 
 def detect_frames(
@@ -262,7 +250,7 @@ def detect_frames(
     batches, done = [], 0
     for t in _kernels.trial_batches(len(frames), m, n):
         stack = np.stack([g.values for g in frames[done : done + t]])
-        batches.append(_stack_stats(stack, config, U))
+        batches.append(_stack_stats(stack, stack > config.x_star, config, U))
         done += t
     lengths, values = (np.concatenate(part) for part in zip(*batches))
     alarms = (lengths > l0_alarm) | (values > scan_alarm)

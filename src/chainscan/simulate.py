@@ -1,22 +1,27 @@
 """Monte Carlo harness: error-rate estimation and alarm calibration.
 
-Trials are drawn in batches of ``_kernels.trial_batches`` and scored by the
-detector's batched statistics path, the one frame mode uses. Each loop draws
-one batch ahead on one worker thread (``_kernels.drawn_ahead``) while the
-current batch is scored; the draws come in the same order from the same
-generator, so every output is bit-identical to a sequential loop, and there
-is no option to set.
+Trials come in batches of ``_kernels.trial_batches``. The detector reads a
+null grid only through its significance bits and the values on set bits,
+which in law are i.i.d. Bernoulli(p) bits and i.i.d. N(0, 1) values
+truncated to (x*, inf). So every loop draws the bits with
+``_kernels.bernoulli_stack`` and the values on set bits with
+``_kernels._normal_tail``, never a whole normal grid.
 
 A rejection is the union event "longest run above its cut OR centered scan
 statistic above its cut", which is exactly the two-step detector's rejection
-region. The estimators compute only what that decision reads: the run stage
-stops at the first layer above the Step I cut, and trials that Step I
-already rejects are not scanned. The power estimator draws each trial's
-chain from its own stream and walks a batch's chains at once
+region. The estimators draw and compute only what that decision reads. Per
+batch, on one generator: the bits; for power, fresh N(mu, 1) values on the
+planted cells, whose bits are recomputed; the run stage, stopped at the
+first layer above the Step I cut; and only for the trials Step I leaves,
+tail values on the other set bits, then the scan. The power estimator draws
+each trial's chain from its own stream and walks a batch's chains at once
 (``grid._clamped_walk``), with the rows ``generate_chain`` gives. Alarm
-calibration instead takes empirical quantiles of the exact run lengths and
-of the raw scan statistic, the scale that frame mode scores. The seeds drive
-only these draws: the detector configuration is resolved without simulation.
+calibration reads every trial's values: it draws one batch ahead on one
+worker thread (``_kernels.drawn_ahead``), in the loop's order, so its output
+is that of a sequential loop, and takes empirical quantiles of the exact
+run lengths and of the raw scan statistic, the scale that frame mode
+scores. The seeds drive only these draws: the detector configuration is
+resolved without simulation.
 """
 
 from __future__ import annotations
@@ -59,8 +64,8 @@ class LengthLaw:
     def __post_init__(self):
         if self.kind not in _LAW_KINDS:
             raise ValueError(f"unknown length law {self.kind!r}, expected one of {_LAW_KINDS}")
-        if self.coef <= 0:
-            raise ValueError(f"length-law coefficient must be positive, got {self.coef}")
+        if not (math.isfinite(self.coef) and self.coef > 0):
+            raise ValueError(f"length-law coef must be finite and positive, got {self.coef}")
 
     def realize(self, n: int) -> int:
         if self.kind == "linear":
@@ -97,8 +102,8 @@ class ExperimentSpec:
             raise ValueError(f"need m >= 1 and n >= 2, got {self.m}x{self.n}")
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
-        if self.mu < 0:
-            raise ValueError(f"need mu >= 0, got {self.mu}")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"need a finite mu >= 0, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -142,27 +147,46 @@ def _checked_config(spec: ExperimentSpec, config: DetectorConfig | None) -> Dete
     return config
 
 
-def _rejection_rate(spec: ExperimentSpec, config: DetectorConfig | None, stream: int,
-                    kind: str, plant=None) -> ErrorEstimate:
-    """Fraction of the spec's noise trials the two-step rule rejects.
+def _no_chain(first: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The planted cells of null trials: none."""
+    none = np.zeros((1, 0), dtype=np.int64)
+    return none, none
 
-    ``plant(x, first)``, when given, adds signal to a batch ``x`` that holds
-    trials first, first + 1, ... before it is scored.
+
+def _rejection_rate(spec: ExperimentSpec, config: DetectorConfig | None, stream: int,
+                    kind: str, chains) -> ErrorEstimate:
+    """Fraction of the spec's trials the two-step rule rejects.
+
+    ``chains(first, t)`` returns the 0-based (rows, cols) of the planted
+    cells of trials first, ..., first + t - 1, each of shape (t, L) or, for
+    one chain shared by every trial, (1, L).
     """
     if spec.trials < 50:
         raise ValueError(f"need trials >= 50 for a rate estimate, got {spec.trials}")
     config = _checked_config(spec, config)
     thr, cap = _resolve(config, spec.m, spec.n)
     center = null_conditional_mean(config.x_star)
+    stop = math.floor(thr.step1) + 1  # min(l0, stop) > step1 exactly when l0 > step1
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, stream]))
     hits = done = 0
-    for x in _kernels.drawn_ahead(lambda t: rng.standard_normal((t, spec.m, spec.n)),
-                                  _kernels.trial_batches(spec.trials, spec.m, spec.n)):
-        if plant is not None:
-            plant(x, done)
-        lengths, values = _stack_stats(x, config, cap, center, thr.step1)
-        hits += int(((lengths > thr.step1) | (values > thr.step2)).sum())
-        done += len(x)
+    for t in _kernels.trial_batches(spec.trials, spec.m, spec.n):
+        z = _kernels.bernoulli_stack(rng, t, spec.m, spec.n, config.p)
+        rows, cols = (np.broadcast_to(a, (t, a.shape[1])) for a in chains(done, t))
+        # the planted cells are independent of the noise: fresh values, then their bits
+        planted = spec.mu + rng.standard_normal(rows.shape)
+        z[np.arange(t)[:, None], rows, cols] = planted > config.x_star
+        lengths = _kernels.chain_lengths(z, config.C, stop=stop)
+        keep = np.flatnonzero(lengths <= thr.step1)  # the trials Step I leaves to Step II
+        hits += t - keep.size
+        z, planted = z[keep], planted[keep]
+        cells = np.arange(keep.size)[:, None], rows[keep], cols[keep]
+        tail = z.copy()
+        tail[cells] = False
+        x = np.zeros(z.shape)  # only the set bits' entries are read
+        x[tail] = _kernels._normal_tail(rng, np.count_nonzero(tail), config.x_star)
+        x[cells] = planted
+        hits += int((_kernels.scan_values(x, z, config.C, cap, center) > thr.step2).sum())
+        done += t
     return _estimate(hits, spec.trials, kind)
 
 
@@ -172,7 +196,7 @@ def estimate_type1(spec: ExperimentSpec, config: DetectorConfig | None = None) -
     ``config`` is the resolved :func:`config_for` of the spec, to share one
     run-rate resolution between estimates; it is resolved here when omitted.
     """
-    return _rejection_rate(spec, config, 1, "type1")
+    return _rejection_rate(spec, config, 1, "type1", _no_chain)
 
 
 def estimate_power(
@@ -193,19 +217,18 @@ def estimate_power(
         fixed_chain.validate(spec.m, spec.n, spec.C)
         fixed = np.array([fixed_chain.start_col]), np.array([fixed_chain.rows])
 
-    def plant(x: np.ndarray, first: int) -> None:
+    def chains(first: int, t: int) -> tuple[np.ndarray, np.ndarray]:
         if fixed_chain is None:  # a chain per trial from its own stream, walked at once
             draws = [_chain_draw(spec.m, spec.n, spec.C, length,
                                  np.random.SeedSequence([spec.seed, 3, first + k]))
-                     for k in range(len(x))]
+                     for k in range(t)]
             starts = np.array([start for start, _ in draws])
             rows = _clamped_walk(np.stack([moves for _, moves in draws]), spec.m)
         else:  # one (1, L) chain broadcast over the batch
             starts, rows = fixed
-        cols = starts[:, None] - 1 + np.arange(rows.shape[1])
-        x[np.arange(len(x))[:, None], rows - 1, cols] += spec.mu
+        return rows - 1, starts[:, None] - 1 + np.arange(rows.shape[1])
 
-    return _rejection_rate(spec, config, 2, "power", plant)
+    return _rejection_rate(spec, config, 2, "power", chains)
 
 
 def calibrate_alarms(
@@ -239,9 +262,15 @@ def calibrate_alarms(
     _require_agreement(config, (m, C, x_star), "call")
     _, cap = _resolve(config, m, n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
-    batches = [_stack_stats(x, config, cap)
-               for x in _kernels.drawn_ahead(lambda t: rng.standard_normal((t, m, n)),
-                                             _kernels.trial_batches(trials, m, n))]
+
+    def draw(t: int) -> tuple[np.ndarray, np.ndarray]:
+        z = _kernels.bernoulli_stack(rng, t, m, n, config.p)
+        x = np.zeros(z.shape)  # only the set bits' entries are read
+        x[z] = _kernels._normal_tail(rng, np.count_nonzero(z), config.x_star)
+        return x, z
+
+    batches = [_stack_stats(x, z, config, cap)
+               for x, z in _kernels.drawn_ahead(draw, _kernels.trial_batches(trials, m, n))]
     lengths, values = (np.concatenate(part) for part in zip(*batches))
     q = 1.0 - alpha / 2.0
     return float(np.quantile(lengths, q)), float(np.quantile(values, q))

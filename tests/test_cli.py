@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -350,6 +351,21 @@ class TestSimulateCommand:
         code, out, err = run_cli("simulate", "--spec", str(spec))
         assert code == 2 and out == ""
         assert f"'{key}'" in err
+
+    @pytest.mark.parametrize("key,value,message", [
+        *(("mu", v, "need a finite mu >= 0") for v in (math.nan, math.inf, -1.0)),
+        *(("coef", v, "coef must be finite and positive") for v in (math.nan, math.inf, 0.0)),
+    ])
+    def test_out_of_range_number_is_usage_error(self, tmp_path, key, value, message):
+        # json writes NaN and Infinity tokens, which the spec reader accepts as numbers
+        raw = {"m": 6, "n": 150, "trials": 50, "seed": 5, "mu": 2.0,
+               "length_law": {"kind": "linear", "coef": 0.2}}
+        (raw["length_law"] if key == "coef" else raw)[key] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(raw))
+        code, out, err = run_cli("simulate", "--spec", str(spec))
+        assert code == 2 and out == ""
+        assert message in err
 
     @pytest.mark.parametrize("where, key", [("spec JSON", "trails"),
                                             ("spec JSON key 'length_law'", "coeff")])

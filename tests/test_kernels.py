@@ -1,5 +1,6 @@
 """Deep-run paths, the run stage's dense/sparse phase equivalence, the scan loop
-against a dense oracle, stack views of the engines, and the draw-ahead loop."""
+against a dense oracle, stack views of the engines, the sparse null sampler's
+law, and the draw-ahead loop."""
 
 import math
 import subprocess
@@ -15,8 +16,11 @@ from chainscan import (
     SignificanceMap,
     _kernels,
     longest_run_length,
+    make_config,
+    normal_cdf,
     null_conditional_mean,
 )
+from chainscan.detector import _resolve
 from conftest import check_chain
 
 # _SPARSE_RATIO values: every run-stage step after layer 1 sparse, or every step dense
@@ -357,6 +361,64 @@ class TestBernoulliStack:
             bits = _kernels.bernoulli_stack(rng, *shape, 0.3)
             assert np.array_equal(bits, ref.random(shape, dtype=np.float32) < 0.3)
             assert rng.random() == ref.random()  # the stream continues in step
+
+
+def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: sup |F_a - F_b| over both samples."""
+    at = np.concatenate([a, b])
+    fa = np.searchsorted(np.sort(a), at, side="right") / a.size
+    fb = np.searchsorted(np.sort(b), at, side="right") / b.size
+    return float(np.abs(fa - fb).max())
+
+
+class TestSparseNullSampler:
+    """The Monte Carlo loops draw a null stack as Bernoulli(p) bits
+    (``bernoulli_stack``) and values on the set bits from ``_normal_tail``.
+    That is the law of thresholded N(0, 1) draws. Seeds and levels are fixed:
+    moments within 4 standard errors, and a two-sample Kolmogorov-Smirnov test
+    at level 0.001 (conservative for the discrete l0)."""
+
+    Z = 4.0
+    KS_ALPHA = 1e-3
+
+    def test_bit_density(self):
+        p = 1.0 - normal_cdf(DEFAULT_X_STAR)
+        bits = _kernels.bernoulli_stack(np.random.default_rng(301), 50, 10, 2000, p)
+        assert abs(bits.mean() - p) <= self.Z * math.sqrt(p * (1.0 - p) / bits.size)
+
+    @pytest.mark.parametrize("a", [-1.0, 0.0, DEFAULT_X_STAR, 3.0])
+    def test_tail_moments(self, a):
+        # a = -1 accepts about 0.58 of the proposals, so it takes more than one round
+        size = 200_000
+        y = _kernels._normal_tail(np.random.default_rng(302), size, a)
+        assert y.shape == (size,) and (y > a).all()
+        lam = null_conditional_mean(a)
+        var = 1.0 + a * lam - lam**2
+        assert abs(y.mean() - lam) <= self.Z * math.sqrt(var / size)
+        m4 = float(np.mean((y - y.mean()) ** 4))
+        assert abs(y.var() - var) <= self.Z * math.sqrt((m4 - y.var() ** 2) / size)
+
+    def test_empty_draw_leaves_the_stream(self):
+        rng, ref = np.random.default_rng(303), np.random.default_rng(303)
+        assert _kernels._normal_tail(rng, 0, DEFAULT_X_STAR).shape == (0,)
+        assert rng.random() == ref.random()
+
+    def test_statistics_match_dense_draws(self):
+        m, n, C, trials = 6, 200, 1, 4000
+        config = make_config(m, C)
+        U = _resolve(config, m, n)[1]
+        center = null_conditional_mean(config.x_star)
+        rng = np.random.default_rng(304)
+        z = _kernels.bernoulli_stack(rng, trials, m, n, config.p)
+        x = np.zeros(z.shape)
+        x[z] = _kernels._normal_tail(rng, np.count_nonzero(z), config.x_star)
+        dense = np.random.default_rng(305).standard_normal((trials, m, n))
+        bits = dense > config.x_star
+        crit = math.sqrt(-math.log(self.KS_ALPHA / 2.0) / 2.0) * math.sqrt(2.0 / trials)
+        assert _ks_distance(_kernels.chain_lengths(z, C),
+                            _kernels.chain_lengths(bits, C)) <= crit
+        assert _ks_distance(_kernels.scan_values(x, z, C, U, center),
+                            _kernels.scan_values(dense, bits, C, U, center)) <= crit
 
 
 class _Boom(Exception):

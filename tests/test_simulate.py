@@ -43,6 +43,21 @@ class TestLengthLaw:
         with pytest.raises(ValueError):
             LengthLaw("cubic", 1.0)
 
+    @pytest.mark.parametrize("coef", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_coef_must_be_finite_and_positive(self, coef):
+        with pytest.raises(ValueError, match="coef must be finite and positive"):
+            LengthLaw("linear", coef)
+
+
+class TestExperimentSpec:
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, -0.5])
+    def test_mu_must_be_finite_and_non_negative(self, mu):
+        with pytest.raises(ValueError, match="need a finite mu >= 0"):
+            ExperimentSpec(m=6, n=100, mu=mu)
+
+    def test_zero_mu_allowed(self):
+        assert ExperimentSpec(m=6, n=100, mu=0.0).mu == 0.0
+
 
 class TestEstimators:
     def test_reproducible(self):
@@ -138,17 +153,42 @@ class TestOneRule:
 
     @staticmethod
     def _decisions(spec, config, power):
-        stream = 2 if power else 1
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, stream]))
-        x = rng.standard_normal((spec.trials, spec.m, spec.n))
-        if power:
-            length = spec.length_law.realize(spec.n)
-            for k in range(spec.trials):
-                chain = generate_chain(spec.m, spec.n, spec.C, length,
-                                       seed=np.random.SeedSequence([spec.seed, 3, k]))
-                rows = np.asarray(chain.rows) - 1
-                x[k, rows, np.arange(chain.start_col - 1, chain.end_col)] += spec.mu
-        return [detect(ImageGrid(values), config).deciding_stage for values in x]
+        """``detect``'s stage on each trial grid, replaying the estimator's draws
+        batch by batch: the bits, then fresh values on the planted cells, then
+        tail values on the other set bits of the trials that Step I leaves.
+
+        Step I reads only the bits, so it decides each trial first on a grid
+        whose set bits hold a placeholder above x*; off bits hold one below.
+        """
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 2 if power else 1]))
+        length = spec.length_law.realize(spec.n)
+        above, below = config.x_star + 1.0, config.x_star - 1.0
+        stages, done = [], 0
+        for t in _kernels.trial_batches(spec.trials, spec.m, spec.n):
+            x = np.where(_kernels.bernoulli_stack(rng, t, spec.m, spec.n, config.p),
+                         above, below)
+            planted = np.zeros(x.shape, dtype=bool)
+            if power:
+                cells = []
+                for k in range(t):
+                    chain = generate_chain(spec.m, spec.n, spec.C, length,
+                                           seed=np.random.SeedSequence([spec.seed, 3, done + k]))
+                    cells.append((k, np.asarray(chain.rows) - 1,
+                                  np.arange(chain.start_col - 1, chain.end_col)))
+                values = spec.mu + rng.standard_normal((t, length))
+                for k, rows, cols in cells:
+                    x[k, rows, cols] = values[k]
+                    planted[k, rows, cols] = True
+            batch = [detect(ImageGrid(grid), config).deciding_stage for grid in x]
+            keep = [k for k, stage in enumerate(batch) if stage != "step1"]
+            x, tail = x[keep], (x[keep] > config.x_star) & ~planted[keep]
+            x[tail] = _kernels._normal_tail(rng, np.count_nonzero(tail), config.x_star)
+            for k, grid in zip(keep, x):
+                batch[k] = detect(ImageGrid(grid), config).deciding_stage
+                assert batch[k] != "step1"  # the values do not change the bits
+            stages += batch
+            done += t
+        return stages
 
     @pytest.mark.parametrize("batch_cells", [None, 1])
     def test_rates_count_detect_rejections(self, monkeypatch, batch_cells):
@@ -174,29 +214,40 @@ class TestOneRule:
 
 
 class TestDrawAheadWorker:
-    """The Monte Carlo loops join their draw-ahead worker on return and on error."""
+    """The rejection loop starts no thread; alarm calibration joins its
+    draw-ahead worker on return and on error."""
+
+    def test_rejection_loop_starts_no_thread(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the rejection loop drew ahead")
+
+        monkeypatch.setattr(_kernels, "drawn_ahead", refuse)
+        spec = ExperimentSpec(m=6, n=50, mu=2.0, trials=50, seed=1)
+        config = config_for(spec)
+        start = threading.active_count()
+        estimate_type1(spec, config)
+        estimate_power(spec, config=config)
+        assert threading.active_count() == start
 
     def test_worker_joined(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_BATCH_CELLS", 6 * 50)  # one trial per batch
-        spec = ExperimentSpec(m=6, n=50, trials=50, seed=1)
-        config = config_for(spec)
-        calls = (lambda: estimate_type1(spec, config),
-                 lambda: estimate_power(spec, config=config),
-                 lambda: calibrate_alarms(6, 50, 1, config.x_star, alpha=1.0, trials=50,
-                                          seed=1, config=config))
+        config = make_config(6)
+
+        def call():
+            return calibrate_alarms(6, 50, 1, config.x_star, alpha=1.0, trials=50, seed=1,
+                                    config=config)
+
         start = threading.active_count()
-        for call in calls:
-            call()
-            assert threading.active_count() == start
+        call()
+        assert threading.active_count() == start
 
         def fail(*args):
             raise RuntimeError("scoring failed")
 
         monkeypatch.setattr(simulate_module, "_stack_stats", fail)
-        for call in calls:
-            with pytest.raises(RuntimeError, match="scoring failed"):
-                call()
-            assert threading.active_count() == start
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            call()
+        assert threading.active_count() == start
 
 
 class TestEmbeddedSubRunLaw:

@@ -11,7 +11,8 @@ operator's row guard, exact area rates, every CLI command's output and
 ``--help`` text, detection on seeded null and planted grids in both
 regimes, frame mode and alarm calibration at 50x50, Monte Carlo calls that
 fit in one trial batch, power estimates whose planted chains decide some
-trials but not all, seeded chain draws, the batched kernels and witnesses
+trials but not all, the Monte Carlo null sampler's bits and tail values,
+seeded chain draws, the batched kernels and witnesses
 (also on stacks with about 0.2-0.3 of their cells significant, and at drift
 windows C = 3 and 5 that reach past small grids' rows), the null grids of
 the complexity criterion, and the stdout of every demo. It runs in about a
@@ -261,6 +262,19 @@ def planted_power() -> None:
     emit("estimate_power/fixed-chain", repr(cs.estimate_power(spec, fixed_chain=chain)))
 
 
+def null_sampler() -> None:
+    """The Monte Carlo loops' null draws at fixed seeds: Bernoulli bits of a
+    6x10x2000 batch, then tail values on the set bits, as (bit count, value
+    sum, minimum), at x* and at cuts that take one round (3.0) and several (-1.0)."""
+    p = 1.0 - cs.normal_cdf(X_STAR)
+    for a in (X_STAR, 3.0, -1.0):
+        r = rng(23, 0)
+        bits = _kernels.bernoulli_stack(r, 6, 10, 2000, p)
+        values = _kernels._normal_tail(r, int(np.count_nonzero(bits)), a)
+        emit(f"normal_tail/a{a:.4g}",
+             repr((int(np.count_nonzero(bits)), float(values.sum()), float(values.min()))))
+
+
 def chains() -> None:
     """``generate_chain`` draws, single-row grids and one-node chains included."""
     for m, n, C, length in ((1, 10, 1, 10), (1, 5, 2, 1), (6, 40, 2, 1), (6, 40, 2, 12),
@@ -389,6 +403,7 @@ if __name__ == "__main__":
     frames()
     one_batch()
     planted_power()
+    null_sampler()
     chains()
     kernels()
     dense_fraction_stacks()
