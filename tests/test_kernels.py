@@ -335,7 +335,7 @@ class TestScanEarlyExit:
 
 class TestStackViews:
     def test_single_grid_calls_are_trials_of_the_stack(self, rng):
-        # T = 0 is the stack that _stack_stats scans when Step I rejects every trial
+        # T = 0 is the stack the error-rate loop scans when Step I rejects every trial
         for T in (0, 1, 3):
             for _ in range(20):
                 m, n = int(rng.integers(1, 6)), int(rng.integers(1, 20))
