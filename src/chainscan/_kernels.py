@@ -22,7 +22,8 @@ layer ends both phases early for a caller that reads only whether a length
 passes a cut below it.
 
 The Monte Carlo loops draw null stacks sparsely: Bernoulli(p) significance
-bits from :func:`bernoulli_stack`, and values on set bits from
+bits from :func:`bernoulli_stack`, one random byte per cell plus a uniform
+for the rare byte that ties, and values on set bits from
 :func:`_normal_tail`, N(0, 1) truncated to (x*, inf). The loops that read
 every trial (alarm calibration, the run-rate estimator) draw through
 :func:`drawn_ahead`: one batch of :func:`trial_batches` is drawn ahead on one
@@ -341,15 +342,28 @@ def backtrack(x2d: np.ndarray, z2d: np.ndarray, C: int, i: int, j: int, u: int) 
 
 
 def bernoulli_stack(rng: np.random.Generator, T: int, m: int, n: int, p: float) -> np.ndarray:
-    """(T, m, n) i.i.d. Bernoulli(p) sample drawn as float32 uniforms.
+    """(T, m, n) i.i.d. Bernoulli(p) bits, p in [0, 1), from one random byte per cell.
 
-    The uniforms are drawn in chunks of _BATCH_CELLS, which gives the same
-    stream as one draw without a float32 copy of the whole stack.
+    The bytes are the little-endian bytes of uniform 64-bit words, as many
+    words as the cells need, so a call wastes under 8 bytes (the same law as
+    ``Generator.bytes`` at under half its cost). With q = 256 p
+    and k = floor(q), a cell is set when its byte u < k. The cells whose byte
+    ties at u == k, about one in 256, then draw one double uniform each,
+    after all the bytes and in cell order, and are set when it is < q - k.
+    So P(bit) = k/256 + (q - k)/256 = p to double precision, at about 8.3
+    random bits per cell, not the 32 of a float32 uniform (an exact sampler
+    needs few bits: Knuth & Yao 1976; Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, ch. 3).
     """
-    out = np.empty(T * m * n, dtype=bool)
-    for start in range(0, out.size, _BATCH_CELLS):
-        chunk = out[start : start + _BATCH_CELLS]
-        np.less(rng.random(chunk.size, dtype=np.float32), p, out=chunk)
+    size = T * m * n
+    q = 256.0 * p
+    k = math.floor(q)
+    words = rng.integers(0, 1 << 64, size=-(-size // 8), dtype=np.uint64)
+    u = words.astype("<u8", copy=False).view(np.uint8)[:size]
+    ties = np.flatnonzero(u == k)
+    out = u.view(bool)  # each bit overwrites its own byte, so the bits hold no second array
+    np.less(u, k, out=out)
+    out[ties] = rng.random(ties.size) < q - k
     return out.reshape(T, m, n)
 
 

@@ -299,20 +299,21 @@ def generate_null_grid(m: int, n: int, seed: int) -> ImageGrid:
     return ImageGrid(rng.standard_normal((m, n)))
 
 
-def _chain_draw(m: int, n: int, C: int, length: int, seed) -> tuple[int, np.ndarray]:
-    """Start column and moves of one random chain, for :func:`_clamped_walk`.
+def _chain_draw(rng: np.random.Generator, t: int, m: int, n: int, C: int,
+                length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start columns and (t, length) moves of t random chains, for :func:`_clamped_walk`.
 
-    ``np.random.default_rng(seed)`` draws, in this order, the start column
-    uniform on [1, n - length + 1], the first row uniform on [1, m], and the
-    length - 1 drift steps uniform on {-C, ..., C}. The moves are the first
-    row followed by the steps. Every seeded chain comes from this order.
+    ``rng`` draws, in this order, the t start columns uniform on
+    [1, n - length + 1], the t first rows uniform on [1, m], and the
+    (t, length - 1) drift steps uniform on {-C, ..., C}. Each row of the moves
+    is a first row followed by its steps. Every seeded chain comes from this
+    order: :func:`generate_chain` is its t = 1 case.
     """
-    rng = np.random.default_rng(seed)
-    start_col = 1 + int(rng.integers(0, n - length + 1))
-    moves = np.empty(length, dtype=np.int64)
-    moves[0] = 1 + rng.integers(0, m)
-    moves[1:] = rng.integers(-C, C + 1, size=length - 1)
-    return start_col, moves
+    starts = 1 + rng.integers(0, n - length + 1, size=t)
+    moves = np.empty((t, length), dtype=np.int64)
+    moves[:, 0] = 1 + rng.integers(0, m, size=t)
+    moves[:, 1:] = rng.integers(-C, C + 1, size=(t, length - 1))
+    return starts, moves
 
 
 def _clamped_walk(moves: np.ndarray, m: int) -> np.ndarray:
@@ -344,16 +345,17 @@ def generate_chain(m: int, n: int, C: int, length: int, seed: int) -> ChainPath:
     """Random chain: uniform start column and row, per-step drift uniform on
     {-C,...,C} clipped to [1, m].
 
-    The draws are those of :func:`_chain_draw` and the rows the T = 1 case of
-    :func:`_clamped_walk`, the pair that plants the Monte Carlo power
+    The draws are the t = 1 case of :func:`_chain_draw` on
+    ``np.random.default_rng(seed)``, and the rows the T = 1 case of
+    :func:`_clamped_walk`: the pair that plants the Monte Carlo power
     trials' chains a batch at a time.
     """
     if not (1 <= length <= n):
         raise ValueError(f"chain length {length} outside [1, {n}]")
     if m < 1 or C < 0:
         raise ValueError(f"need m >= 1 and C >= 0, got m={m}, C={C}")
-    start_col, moves = _chain_draw(m, n, C, length, seed)
-    return ChainPath(start_col, tuple(_clamped_walk(moves[None], m)[0].tolist()))
+    starts, moves = _chain_draw(np.random.default_rng(seed), 1, m, n, C, length)
+    return ChainPath(int(starts[0]), tuple(_clamped_walk(moves, m)[0].tolist()))
 
 
 def embed_chain(grid: ImageGrid, chain: ChainPath, mu: float) -> ImageGrid:

@@ -1,21 +1,23 @@
 """Monte Carlo harness: error-rate estimation and alarm calibration.
 
-Trials come in batches of ``_kernels.trial_batches``. The detector reads a
-null grid only through its significance bits and the values on set bits,
-which in law are i.i.d. Bernoulli(p) bits and i.i.d. N(0, 1) values
-truncated to (x*, inf). So every loop draws the bits with
-``_kernels.bernoulli_stack`` and the values on set bits with
-``_kernels._normal_tail``, never a whole normal grid.
+Trials come in batches of ``_kernels.trial_batches``, and each batch draws
+its randomness in turn, so an estimate depends on its seed and on that
+partition of the trials. The detector reads a null grid only through its
+significance bits and the values on set bits, which in law are i.i.d.
+Bernoulli(p) bits and i.i.d. N(0, 1) values truncated to (x*, inf). So
+every loop draws the bits with ``_kernels.bernoulli_stack``, one random
+byte per cell, and the values on set bits with ``_kernels._normal_tail``,
+never a whole normal grid.
 
 A rejection is the union event "longest run above its cut OR centered scan
 statistic above its cut", which is exactly the two-step detector's rejection
 region. The estimators draw and compute only what that decision reads. Per
-batch, on one generator: the bits; for power, fresh N(mu, 1) values on the
-planted cells, whose bits are recomputed; the run stage, stopped at the
-first layer above the Step I cut; and only for the trials Step I leaves,
-tail values on the other set bits, then the scan. The power estimator draws
-each trial's chain from its own stream and walks a batch's chains at once
-(``grid._clamped_walk``), with the rows ``generate_chain`` gives. Alarm
+batch, on one generator: the bits; for power, the batch's planted chains in
+one vectorized draw (``grid._chain_draw``, whose one-chain case on a seed is
+``generate_chain``), walked at once (``grid._clamped_walk``), then fresh
+N(mu, 1) values on the planted cells, whose bits are recomputed; the run
+stage, stopped at the first layer above the Step I cut; and only for the
+trials Step I leaves, tail values on the other set bits, then the scan. Alarm
 calibration reads every trial's values: it draws one batch ahead on one
 worker thread (``_kernels.drawn_ahead``), in the loop's order, so its output
 is that of a sequential loop, and takes empirical quantiles of the exact
@@ -147,8 +149,8 @@ def _checked_config(spec: ExperimentSpec, config: DetectorConfig | None) -> Dete
     return config
 
 
-def _no_chain(first: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """The planted cells of null trials: none."""
+def _no_chain(rng: np.random.Generator, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The planted cells of null trials: none, and no draw."""
     none = np.zeros((1, 0), dtype=np.int64)
     return none, none
 
@@ -157,9 +159,9 @@ def _rejection_rate(spec: ExperimentSpec, config: DetectorConfig | None, stream:
                     kind: str, chains) -> ErrorEstimate:
     """Fraction of the spec's trials the two-step rule rejects.
 
-    ``chains(first, t)`` returns the 0-based (rows, cols) of the planted
-    cells of trials first, ..., first + t - 1, each of shape (t, L) or, for
-    one chain shared by every trial, (1, L).
+    ``chains(rng, t)`` returns the 0-based (rows, cols) of the planted
+    cells of a batch's t trials, drawn on the loop's generator, each of
+    shape (t, L) or, for one chain shared by every trial, (1, L).
     """
     if spec.trials < 50:
         raise ValueError(f"need trials >= 50 for a rate estimate, got {spec.trials}")
@@ -168,10 +170,10 @@ def _rejection_rate(spec: ExperimentSpec, config: DetectorConfig | None, stream:
     center = null_conditional_mean(config.x_star)
     stop = math.floor(thr.step1) + 1  # min(l0, stop) > step1 exactly when l0 > step1
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, stream]))
-    hits = done = 0
+    hits = 0
     for t in _kernels.trial_batches(spec.trials, spec.m, spec.n):
         z = _kernels.bernoulli_stack(rng, t, spec.m, spec.n, config.p)
-        rows, cols = (np.broadcast_to(a, (t, a.shape[1])) for a in chains(done, t))
+        rows, cols = (np.broadcast_to(a, (t, a.shape[1])) for a in chains(rng, t))
         # the planted cells are independent of the noise: fresh values, then their bits
         planted = spec.mu + rng.standard_normal(rows.shape)
         z[np.arange(t)[:, None], rows, cols] = planted > config.x_star
@@ -186,7 +188,6 @@ def _rejection_rate(spec: ExperimentSpec, config: DetectorConfig | None, stream:
         x[tail] = _kernels._normal_tail(rng, np.count_nonzero(tail), config.x_star)
         x[cells] = planted
         hits += int((_kernels.scan_values(x, z, config.C, cap, center) > thr.step2).sum())
-        done += t
     return _estimate(hits, spec.trials, kind)
 
 
@@ -217,13 +218,10 @@ def estimate_power(
         fixed_chain.validate(spec.m, spec.n, spec.C)
         fixed = np.array([fixed_chain.start_col]), np.array([fixed_chain.rows])
 
-    def chains(first: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-        if fixed_chain is None:  # a chain per trial from its own stream, walked at once
-            draws = [_chain_draw(spec.m, spec.n, spec.C, length,
-                                 np.random.SeedSequence([spec.seed, 3, first + k]))
-                     for k in range(t)]
-            starts = np.array([start for start, _ in draws])
-            rows = _clamped_walk(np.stack([moves for _, moves in draws]), spec.m)
+    def chains(rng: np.random.Generator, t: int) -> tuple[np.ndarray, np.ndarray]:
+        if fixed_chain is None:  # the batch's t chains in one draw, walked at once
+            starts, moves = _chain_draw(rng, t, spec.m, spec.n, spec.C, length)
+            rows = _clamped_walk(moves, spec.m)
         else:  # one (1, L) chain broadcast over the batch
             starts, rows = fixed
         return rows - 1, starts[:, None] - 1 + np.arange(rows.shape[1])

@@ -1,4 +1,7 @@
-"""Shared test helpers: independent chain checking and instance generators."""
+"""Shared test helpers: independent chain checking, instance generators and a
+reference Bernoulli draw."""
+
+import math
 
 import numpy as np
 import pytest
@@ -34,6 +37,22 @@ def random_instance(rng, max_m=4, max_n=10, Cs=(1, 2)):
     grid = ImageGrid(values)
     sig = SignificanceMap(values > threshold)
     return grid, sig, C
+
+
+def bernoulli_reference(rng, shape, p):
+    """Bernoulli(p) bits by the byte rule, read straight off the generator:
+    the cells' bytes, in order, from little-endian uniform 64-bit words; a
+    cell is set when its byte u < k = floor(256 p); then, in cell order, one
+    uniform per cell with u == k, set when it is below 256 p - k."""
+    size = math.prod(shape)
+    words = [int(w) for w in rng.integers(0, 2**64, size=-(-size // 8), dtype=np.uint64)]
+    u = b"".join(w.to_bytes(8, "little") for w in words)[:size]
+    q = 256.0 * p
+    k = math.floor(q)
+    bits = np.array([b < k for b in u], dtype=bool)
+    ties = [i for i, b in enumerate(u) if b == k]
+    bits[ties] = rng.random(len(ties)) < q - k
+    return bits.reshape(shape)
 
 
 @pytest.fixture

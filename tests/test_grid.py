@@ -319,9 +319,25 @@ class TestClampedWalk:
             n = int(rng.integers(1, 600))
             length = int(rng.integers(1, n + 1))
             seed = int(rng.integers(2**32))
-            start, moves = grid_module._chain_draw(m, n, C, length, seed)
-            assert generate_chain(m, n, C, length, seed) == ChainPath(start,
-                                                                     _walk_loop(moves, m))
+            starts, moves = grid_module._chain_draw(np.random.default_rng(seed), 1, m, n, C,
+                                                    length)
+            assert starts.shape == (1,) and moves.shape == (1, length)
+            assert generate_chain(m, n, C, length, seed) == ChainPath(
+                int(starts[0]), _walk_loop(moves[0], m))
+
+    @pytest.mark.parametrize("m,n,C,length", [(10, 2000, 1, 400), (6, 40, 2, 12),
+                                              (1, 10, 0, 10), (7, 30, 3, 1)])
+    def test_chain_draw_order(self, m, n, C, length):
+        # a batch draws its t start columns, then its t first rows, then its steps
+        for t in (1, 5):
+            rng, ref = np.random.default_rng(t), np.random.default_rng(t)
+            starts, moves = grid_module._chain_draw(rng, t, m, n, C, length)
+            assert starts.tolist() == (1 + ref.integers(0, n - length + 1, size=t)).tolist()
+            assert moves[:, 0].tolist() == (1 + ref.integers(0, m, size=t)).tolist()
+            assert np.array_equal(moves[:, 1:], ref.integers(-C, C + 1, size=(t, length - 1)))
+            assert rng.random() == ref.random()  # the stream continues in step
+            for start, rows in zip(starts, grid_module._clamped_walk(moves, m)):
+                ChainPath(int(start), rows.tolist()).validate(m, n, C)
 
 
 class TestEmbedChain:

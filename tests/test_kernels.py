@@ -21,7 +21,7 @@ from chainscan import (
     null_conditional_mean,
 )
 from chainscan.detector import _resolve
-from conftest import check_chain
+from conftest import bernoulli_reference, check_chain
 
 # _SPARSE_RATIO values: every run-stage step after layer 1 sparse, or every step dense
 SPARSE, DENSE = 0, math.inf
@@ -352,15 +352,42 @@ class TestStackViews:
                                             for t in range(T)]
 
 
+class _EveryByte:
+    """A stand-in generator that enumerates the byte rule's law: the bytes of
+    its 64-bit words run through 0..255 in order, and its ``size`` uniforms
+    are the midpoints (j + 1/2)/size of a grid on [0, 1)."""
+
+    def integers(self, low, high, size, dtype):
+        return np.frombuffer(bytes(range(256)) * (8 * size // 256), dtype="<u8").copy()
+
+    def random(self, size):
+        return (np.arange(size) + 0.5) / size
+
+
 class TestBernoulliStack:
-    def test_chunked_draw_is_one_draw(self, monkeypatch):
-        # odd chunks split float32 draws inside trials and inside 64-bit outputs
-        monkeypatch.setattr(_kernels, "_BATCH_CELLS", 7)
-        for shape in ((0, 3, 4), (1, 5, 9), (3, 4, 6)):
+    def test_bytes_then_tie_uniforms(self):
+        # 45 cells end inside a 64-bit word; 7,200 cells at p = 0.3 hold about 28 ties
+        for shape in ((0, 3, 4), (1, 5, 9), (3, 40, 60)):
             rng, ref = np.random.default_rng(3), np.random.default_rng(3)
             bits = _kernels.bernoulli_stack(rng, *shape, 0.3)
-            assert np.array_equal(bits, ref.random(shape, dtype=np.float32) < 0.3)
+            assert bits.shape == shape and bits.dtype == bool
+            assert np.array_equal(bits, bernoulli_reference(ref, shape, 0.3))
             assert rng.random() == ref.random()  # the stream continues in step
+
+    @pytest.mark.parametrize("p", [
+        0.1,  # k = 25: a tie sets its bit with probability 0.6
+        0.25,  # dyadic, k = 64: a tie never sets its bit
+        0.002,  # below 1/256, k = 0: only ties set bits
+    ])
+    def test_exact_law(self, p):
+        T = 1000  # every byte value T times, and T tie uniforms on a grid of step 1/T
+        bits = _kernels.bernoulli_stack(_EveryByte(), T, 1, 256, p).reshape(T, 256)
+        q = 256.0 * p
+        k = math.floor(q)
+        assert bits[:, :k].all() and not bits[:, k + 1 :].any()
+        assert bits[:, k].any() == (q > k)
+        assert abs(bits[:, k].mean() - (q - k)) <= 1.0 / T
+        assert abs(bits.mean() - p) <= 1.0 / (256 * T)
 
 
 def _ks_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chainscan import (
+    ChainPath,
     ExperimentSpec,
     ImageGrid,
     LengthLaw,
@@ -23,6 +24,7 @@ from chainscan import (
 from chainscan import _kernels
 from chainscan import simulate as simulate_module
 from chainscan.cli import main
+from conftest import bernoulli_reference
 
 
 class TestLengthLaw:
@@ -154,31 +156,37 @@ class TestOneRule:
     @staticmethod
     def _decisions(spec, config, power):
         """``detect``'s stage on each trial grid, replaying the estimator's draws
-        batch by batch: the bits, then fresh values on the planted cells, then
-        tail values on the other set bits of the trials that Step I leaves.
+        batch by batch: the bits (one byte per cell, then the tie uniforms);
+        for power, the batch's start columns, first rows and steps, then fresh
+        values on the planted cells; then tail values on the other set bits of
+        the trials that Step I leaves.
 
         Step I reads only the bits, so it decides each trial first on a grid
         whose set bits hold a placeholder above x*; off bits hold one below.
         """
         rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 2 if power else 1]))
-        length = spec.length_law.realize(spec.n)
+        m, n, C = spec.m, spec.n, spec.C
+        length = spec.length_law.realize(n)
         above, below = config.x_star + 1.0, config.x_star - 1.0
-        stages, done = [], 0
-        for t in _kernels.trial_batches(spec.trials, spec.m, spec.n):
-            x = np.where(_kernels.bernoulli_stack(rng, t, spec.m, spec.n, config.p),
-                         above, below)
+        stages = []
+        for t in _kernels.trial_batches(spec.trials, m, n):
+            x = np.where(bernoulli_reference(rng, (t, m, n), config.p), above, below)
             planted = np.zeros(x.shape, dtype=bool)
             if power:
-                cells = []
-                for k in range(t):
-                    chain = generate_chain(spec.m, spec.n, spec.C, length,
-                                           seed=np.random.SeedSequence([spec.seed, 3, done + k]))
-                    cells.append((k, np.asarray(chain.rows) - 1,
-                                  np.arange(chain.start_col - 1, chain.end_col)))
+                starts = 1 + rng.integers(0, n - length + 1, size=t)
+                firsts = 1 + rng.integers(0, m, size=t)
+                steps = rng.integers(-C, C + 1, size=(t, length - 1))
                 values = spec.mu + rng.standard_normal((t, length))
-                for k, rows, cols in cells:
-                    x[k, rows, cols] = values[k]
-                    planted[k, rows, cols] = True
+                for k in range(t):
+                    rows = [int(firsts[k])]
+                    for step in steps[k]:  # the walk clamped to [1, m]
+                        rows.append(min(max(rows[-1] + int(step), 1), m))
+                    chain = ChainPath(int(starts[k]), rows)
+                    chain.validate(m, n, C)
+                    cells = np.asarray(chain.rows) - 1, np.arange(chain.start_col - 1,
+                                                                  chain.end_col)
+                    x[k][cells] = values[k]
+                    planted[k][cells] = True
             batch = [detect(ImageGrid(grid), config).deciding_stage for grid in x]
             keep = [k for k, stage in enumerate(batch) if stage != "step1"]
             x, tail = x[keep], (x[keep] > config.x_star) & ~planted[keep]
@@ -187,7 +195,6 @@ class TestOneRule:
                 batch[k] = detect(ImageGrid(grid), config).deciding_stage
                 assert batch[k] != "step1"  # the values do not change the bits
             stages += batch
-            done += t
         return stages
 
     @pytest.mark.parametrize("batch_cells", [None, 1])
