@@ -7,19 +7,23 @@ Each stage has one exact layer loop that returns per-trial values and ends:
 ``_chain_ends`` for the run stage and ``_scan_ends`` for the scan stage. A
 single-grid call is a T=1 view of its stage's loop. Layer k holds the cells
 that end a chain of k nodes, and its live cells fall geometrically with k.
-Every layer pass, and the one backtrack that rebuilds either stage's witness
-(the run stage's with all-zero intensities), works on one cell layout,
-:func:`_padded`, and one successor rule, the flat offsets of
+Every pass over live cells, and the one backtrack that rebuilds either
+stage's witness (the run stage's with all-zero intensities), works on one
+cell layout, :func:`_padded`, and one successor rule, the flat offsets of
 :func:`_offsets`: the pads keep every offset inside its trial, so no pass
 needs a bounds check. The scan loop follows the sorted live cells, with
 their chain sums, through :func:`_successors` from layer 1 on, so its cost
 follows the live cells, as in sparse dynamic programming (Eppstein, Galil,
-Giancarlo & Italiano, J. ACM 39, 1992). The run loop ORs whole shifted
-layers while at least 1/``_SPARSE_RATIO`` of the cells are live, then
-follows the live cells; both phases keep the same end rule, so a length,
-its end and its witness do not depend on the phase, at any depth. A stop
-layer ends both phases early for a caller that reads only whether a length
-passes a cut below it.
+Giancarlo & Italiano, J. ACM 39, 1992). The run loop needs only
+reachability, so it starts on the same layout at one bit per cell,
+:func:`_packed`, and steps 64 cells of a row at a time with word shifts, ORs
+and ANDs, as bit-parallel string matching does (Baeza-Yates & Gonnet,
+CACM 35, 1992; Myers, J. ACM 46, 1999). Once a step over the live cells
+costs less than one over the words (``_LIST_COST``), it expands the nonzero
+words into the sorted live cells and follows them as the scan loop does.
+Both phases keep the same end rule, so a length, its end and its witness do
+not depend on the phase, at any depth. A stop layer ends both phases early
+for a caller that reads only whether a length passes a cut below it.
 
 The Monte Carlo loops draw null stacks sparsely: Bernoulli(p) significance
 bits from :func:`bernoulli_stack`, one random byte per cell plus a uniform
@@ -42,8 +46,9 @@ import numpy as np
 
 NEG_INF = float("-inf")
 
-# A run-stage layer step is dense while at least 1/_SPARSE_RATIO of the stack's cells are live.
-_SPARSE_RATIO = 64
+# A run-stage step over the live-cell list costs about _LIST_COST words of a packed
+# step per nonzero byte (1 to 8 live cells) of the packed layer.
+_LIST_COST = 48
 
 # Grid cells per trial batch: 1 MB per float64 array, so a batch stays in cache.
 _BATCH_CELLS = 1 << 17
@@ -102,6 +107,21 @@ def _padded(b: np.ndarray, C: int) -> np.ndarray:
     return out.reshape(-1)
 
 
+def _packed(b: np.ndarray, C: int) -> np.ndarray:
+    """The :func:`_padded` layout at one bit per cell: a flat little-endian
+    uint64 copy of a (T, m, n) boolean stack with C zero rows above and below
+    each trial and each row widened to n // 64 + 1 words, column c at bit
+    c % 64 of word c // 64. So every row ends in at least one zero pad bit,
+    and no carry out of a row's last word is ever set."""
+    T, m, n = b.shape
+    W, nb = n // 64 + 1, -(-n // 8)
+    if n % 8:  # whole bytes per row, so that one flat packbits call packs every row
+        b = np.concatenate([b, np.zeros((T, m, 8 * nb - n), dtype=bool)], axis=2)
+    out = np.zeros((T, m + 2 * C, 8 * W), dtype=np.uint8)
+    out[:, C : C + m, :nb] = np.packbits(b, bitorder="little").reshape(T, m, nb)
+    return out.view("<u8").reshape(-1)
+
+
 def _offsets(n: int, C: int) -> np.ndarray:
     """The successor rule on the :func:`_padded` layout of n-column trials: flat
     offsets d*(n+1) + 1 from (r, c) to (r+d, c+1), for d = -C..C in order."""
@@ -129,48 +149,91 @@ def _successors(cells: np.ndarray, zp: np.ndarray,
     return cand[sig], sig
 
 
-def _chain_ends(bits: np.ndarray, C: int,
-                stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _chain_ends(bits: np.ndarray, C: int, stop: int | None = None,
+                with_ends: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Longest chain length per trial of a (T, m, n) boolean stack, and the
     flat index of the row-major first cell that ends such a chain (0 when no
-    bit is set).
+    bit is set, and for every trial when ``with_ends`` is false).
 
-    Iterates reachability layers on the :func:`_padded` layout until none is
-    left, so the cost scales with the answer: ORs of the whole layer shifted
-    by each of the :func:`_offsets` while at least 1/_SPARSE_RATIO of the
-    stack's cells are live, then the sorted live cells through
-    :func:`_successors`. At a trial's last nonempty layer both phases write
-    its length and its first live cell in padded order, the row-major first.
+    Iterates reachability layers until none is left, so the cost scales with
+    the answer. Layers start on the :func:`_packed` words: the next layer ORs
+    the 2C+1 row-shifted words, shifts them one column (each word's top bit
+    carried into the next word) and masks them with the packed bits, at a
+    cost that follows the words. A layer's nonzero bytes, counted in one
+    pass, give its live cells to within 8x; once _LIST_COST times their count
+    falls below the words of a layer, only its nonzero words are expanded
+    into the sorted live cells of the :func:`_padded` layout, built then,
+    which step through :func:`_successors` at a cost that follows the live
+    cells. At a trial's
+    last nonempty layer both phases write its length and its first live cell
+    in padded order, the row-major first: the lowest set bit of its first
+    nonzero word, or its first listed cell.
 
     A ``stop`` layer (an int >= 1) ends both phases there: a trial still live
     at layer ``stop`` gets length ``stop`` and the row-major first cell that
     ends a chain of ``stop`` nodes, so each length is min(longest, stop).
     """
     T, m, n = bits.shape
-    mn, stride = m * n, (m + 2 * C) * (n + 1)  # trial t: [t*stride, (t+1)*stride)
+    mn, W, rows = m * n, n // 64 + 1, m + 2 * C
+    stride = rows * (n + 1)  # trial t's padded cells: [t*stride, (t+1)*stride)
     lengths, ends = np.zeros(T, dtype=np.int64), np.zeros(T, dtype=np.int64)
     stop = n if stop is None else min(stop, n)  # no chain has more than n nodes
 
-    def finish(done, first):  # first: each done trial's first live cell
+    def finish(done, firsts):  # firsts(done): each done trial's first live cell, flat (m, n)
         lengths[done] = k
-        ends[done] = _unpadded(first, m, n, C) - done * mn
+        if with_ends:
+            ends[done] = firsts(done)
 
+    def packed_firsts(done):  # the lowest set bit of each done trial's first nonzero word
+        at = np.flatnonzero(cur)
+        at = at[np.searchsorted(at, done * (rows * W))]
+        return [(a // W % rows - C) * n + a % W * 64 + (w & -w).bit_length() - 1
+                for a, w in zip(at.tolist(), cur[at].tolist())]
+
+    def listed_firsts(done):
+        return _unpadded(cells[starts[done]], m, n, C) - done * mn
+
+    zw, words = _packed(bits, C), T * rows * W
+    span = words - 2 * C * W  # [C*W, words - C*W): the words whose row shifts all lie in zw
+
+    def views(layer):  # a packed layer's 2C+1 row shifts and span, per trial and per byte
+        return ([layer[d * W : d * W + span] for d in range(2 * C + 1)],
+                layer[C * W : C * W + span], layer.reshape(T, rows * W), layer.view(np.uint8))
+
+    shifts, z, trials, live_bytes = views(zw)
+    alive = trials.any(axis=1)
+    count, live = np.count_nonzero(alive), np.count_nonzero(live_bytes)
+    if not live:
+        return lengths, ends
+    nexts = [(layer, views(layer)) for layer in np.zeros((2, words), dtype="<u8")]
+    reach, shifted = np.empty((2, span), dtype="<u8")
+    cur, k = zw, 1
+    while live and k < stop and live * _LIST_COST >= words:
+        nxt, (nxt_shifts, nxt_span, trials, live_bytes) = nexts[k % 2]
+        np.bitwise_or(shifts[0], shifts[-1], out=reach)
+        for s in shifts[1:-1]:
+            np.bitwise_or(reach, s, out=reach)
+        np.left_shift(reach, 1, out=shifted)
+        np.right_shift(reach, 63, out=reach)
+        # a row's last word has a zero top bit, so no carry leaves the row
+        np.bitwise_or(shifted[1:], reach[:-1], out=shifted[1:])
+        np.bitwise_and(shifted, z, out=nxt_span)
+        still = trials.any(axis=1)
+        if np.count_nonzero(still) < count:
+            done = np.flatnonzero(alive > still)  # cur is their last nonempty layer
+            finish(done, packed_firsts)
+            count -= done.size
+        cur, shifts, alive, k = nxt, nxt_shifts, still, k + 1
+        live = np.count_nonzero(live_bytes)
+    if not live or k == stop:
+        if live:  # the trials still live end at the stop
+            finish(np.flatnonzero(alive), packed_firsts)
+        return lengths, ends
+    at = np.flatnonzero(cur)  # only the nonzero words, expanded into the live cells
+    hit = np.flatnonzero(np.unpackbits(cur[at].view(np.uint8), bitorder="little"))
+    row, col = np.divmod(at[hit // 64], W)
+    cells = row * (n + 1) + col * 64 + hit % 64
     zp, offsets = _padded(bits, C), _offsets(n, C)
-    lo, hi = offsets[-1], zp.size + min(offsets[0], 0)
-    cur, k = zp, 1
-    alive, live = cur.reshape(T, stride).any(axis=1), np.count_nonzero(cur)
-    while live and k < stop and live * _SPARSE_RATIO >= bits.size:
-        nxt = np.zeros_like(cur)
-        for o in offsets:  # [lo, hi): the cells whose predecessors all lie in the stack
-            nxt[lo:hi] |= cur[lo - o : hi - o]
-        nxt &= zp
-        still = nxt.reshape(T, stride).any(axis=1)
-        done = np.flatnonzero(alive & ~still)  # cur is their last nonempty layer
-        if done.size:
-            finish(done, done * stride + cur.reshape(T, stride)[done].argmax(axis=1))
-        cur, alive, live, k = nxt, still, np.count_nonzero(nxt), k + 1
-    cells = np.flatnonzero(cur)
-    cur = nxt = None  # free the dense layers
     bounds = np.arange(T + 1) * stride
     starts = np.searchsorted(cells, bounds)
     while cells.size and k < stop:
@@ -179,19 +242,19 @@ def _chain_ends(bits: np.ndarray, C: int,
         nstarts = np.searchsorted(nxt, bounds)
         done = np.flatnonzero((starts[1:] > starts[:-1]) & (nstarts[1:] == nstarts[:-1]))
         if done.size:
-            finish(done, cells[starts[done]])
+            finish(done, listed_firsts)
         cells, starts, k = nxt, nstarts, k + 1
     if cells.size:  # layer k = stop: the trials still live end here
-        done = np.flatnonzero(starts[1:] > starts[:-1])
-        finish(done, cells[starts[done]])
+        finish(np.flatnonzero(starts[1:] > starts[:-1]), listed_firsts)
     return lengths, ends
 
 
 def chain_lengths(bits: np.ndarray, C: int, ends: np.ndarray | None = None,
                   stop: int | None = None) -> np.ndarray:
     """Longest significant chain length per trial for a (T, m, n) boolean stack
-    (a 2-D map counts as one trial). ``ends``, T int64 entries when given,
-    receives each trial's end from the same pass, as :func:`_chain_ends` gives it.
+    (a 2-D map counts as one trial), from the packed-then-listed layers of
+    :func:`_chain_ends`. ``ends``, T int64 entries when given, receives each
+    trial's end from the same pass; without it the pass finds no ends.
 
     ``stop``, an int >= 1 when given, caps the pass at that layer, as in
     :func:`_chain_ends`: each length is then min(longest, stop), which is all
@@ -201,7 +264,7 @@ def chain_lengths(bits: np.ndarray, C: int, ends: np.ndarray | None = None,
     bits = np.asarray(bits, dtype=bool)
     if bits.ndim == 2:
         bits = bits[None]
-    lengths, found = _chain_ends(bits, C, stop)
+    lengths, found = _chain_ends(bits, C, stop, ends is not None)
     if ends is not None:
         ends[:] = found
     return lengths

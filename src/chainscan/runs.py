@@ -2,7 +2,8 @@
 
 The recursion advances one column per step; a chain ending at (i, j) extends
 any chain ending in column j-1 at a row within C of i. The engine follows it
-in layers of chain ends, at O(C) per live cell of a layer.
+in layers of chain ends: bit-packed, 64 columns to a machine word, while many
+cells are live, then at O(C) per live cell of a layer.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ class RunResult:
 def longest_run_length(sig_map: SignificanceMap, C: int) -> RunResult:
     """Exact longest significant chain length under drift bound C.
 
-    The length comes from one pass of layer propagation: dense steps while
-    many cells still end a chain, then steps over the live cells only, so
-    the cost follows the answer and the live cells at any depth. The same
+    The length comes from one pass of layer propagation: bit-packed steps,
+    64 columns to a word, while many cells still end a chain, then steps
+    over the live cells only, so the cost follows the answer at any depth,
+    whatever the live cells' count. The same
     pass also gives the row-major first cell (smallest row, then smallest
     column) that ends a longest chain, and a backtrack from it rebuilds the
     witness: each earlier node takes the smallest row that keeps the chain.

@@ -171,7 +171,7 @@ class TestDetect:
             assert res.deciding_stage == stage and len(calls) == 1
         sig = significance_map(grid, config10.x_star)
         res = detect(grid, config10)
-        assert res.l0_length > 400  # deep past the dense/sparse switch
+        assert res.l0_length > 400  # about 400 packed layers, then the live-cell list
         assert res.witness == longest_run_length(sig, config10.C).witness
         assert check_chain(res.witness, sig, config10.C) == res.l0_length
 

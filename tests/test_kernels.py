@@ -1,6 +1,6 @@
-"""Deep-run paths, the run stage's dense/sparse phase equivalence, the scan loop
-against a dense oracle, stack views of the engines, the sparse null sampler's
-law, and the draw-ahead loop."""
+"""Deep-run paths, the run stage's packed/list phase equivalence and its word
+boundaries, the scan loop against a dense oracle, stack views of the engines,
+the sparse null sampler's law, and the draw-ahead loop."""
 
 import math
 import subprocess
@@ -15,6 +15,7 @@ from chainscan import (
     DEFAULT_X_STAR,
     SignificanceMap,
     _kernels,
+    longest_run_bruteforce,
     longest_run_length,
     make_config,
     normal_cdf,
@@ -23,29 +24,30 @@ from chainscan import (
 from chainscan.detector import _resolve
 from conftest import bernoulli_reference, check_chain
 
-# _SPARSE_RATIO values: every run-stage step after layer 1 sparse, or every step dense
+# _LIST_COST values: every run-stage step after layer 1 on the live-cell list, or every
+# step on packed words
 SPARSE, DENSE = 0, math.inf
 
 
 @pytest.fixture
 def phase(monkeypatch):
-    """Sets the run stage's dense/sparse switch for the rest of a test; the
-    scan stage's loop is sparse from layer 1 and has no switch."""
-    return lambda ratio: monkeypatch.setattr(_kernels, "_SPARSE_RATIO", ratio)
+    """Sets the run stage's packed/list hand-off for the rest of a test; the
+    scan stage's loop is on the live-cell list from layer 1 and has no switch."""
+    return lambda ratio: monkeypatch.setattr(_kernels, "_LIST_COST", ratio)
 
 
 class TestDeepRunFallbacks:
     def test_batched_lengths_past_propagation_cap(self, phase):
         rng = np.random.default_rng(5)
         bits = rng.random((6, 3, 40)) < 0.7  # long runs, several trials
-        lengths = _kernels.chain_lengths(bits, C=1)  # default switch
+        lengths = _kernels.chain_lengths(bits, C=1)  # default hand-off
         for ratio in (SPARSE, DENSE):
             phase(ratio)
             assert np.array_equal(_kernels.chain_lengths(bits, C=1), lengths)
 
     def test_sweep_matches_propagation(self, rng, phase):
         # lengths and witnesses must not depend on the phase that found them:
-        # sparse from layer 2, switched at several depths, or never sparse
+        # on the list from layer 2, handed off at several depths, or never
         for _ in range(50):
             T = int(rng.integers(1, 4))
             m = int(rng.integers(1, 5))
@@ -55,7 +57,7 @@ class TestDeepRunFallbacks:
             phase(DENSE)
             lengths = _kernels.chain_lengths(bits, C)
             witnesses = [_kernels.longest_chain_with_witness(b, C) for b in bits]
-            for ratio in (SPARSE, 2, 8, 64):
+            for ratio in (SPARSE, 1, 2, 4):
                 phase(ratio)
                 assert np.array_equal(_kernels.chain_lengths(bits, C), lengths)
                 assert [_kernels.longest_chain_with_witness(b, C) for b in bits] == witnesses
@@ -68,7 +70,7 @@ class TestDeepRunFallbacks:
             assert k == 20 and start == 0 and rows == [0] * 20
 
     def test_full_width_run(self):
-        bits = np.ones((1, 700), dtype=bool)  # dense phase, then a sparse tail
+        bits = np.ones((1, 700), dtype=bool)  # 11 words a row: packed to the end by default
         assert _kernels.chain_lengths(bits[None], C=1)[0] == 700
         k, start, rows = _kernels.longest_chain_with_witness(bits, C=1)
         assert (k, start) == (700, 0)
@@ -90,10 +92,22 @@ def _dense_step(bits, cur, C):
     return nxt & bits
 
 
+def _live_bytes(cur):
+    """Nonzero bytes of a (T, m, n) layer in the packed layout: the 8-column
+    groups of each row that hold a live cell."""
+    T, m, n = cur.shape
+    groups = np.zeros((T, m, -(-n // 8) * 8), dtype=bool)
+    groups[..., :n] = cur
+    return np.count_nonzero(groups.reshape(T, m, -1, 8).any(axis=3))
+
+
 def _switch_layer(bits, C):
-    """First layer k whose step to layer k+1 is sparse under the current switch."""
+    """First layer k whose step to layer k+1 runs on the live-cell list under the
+    current hand-off: a packed layer holds T*(m+2C) rows of n//64 + 1 words."""
+    T, m, n = bits.shape
+    words = T * (m + 2 * C) * (n // 64 + 1)
     cur, k = bits, 1
-    while cur.any() and cur.sum() * _kernels._SPARSE_RATIO >= cur.size:
+    while cur.any() and _live_bytes(cur) * _kernels._LIST_COST >= words:
         cur, k = _dense_step(bits, cur, C), k + 1
     return k
 
@@ -125,9 +139,9 @@ def _dense_scan_ends(x, z, C, U, center):
 
 
 class TestPhaseEquivalence:
-    """The run stage against its forced-dense engine, on stacks whose trials die
-    on both sides of the switch, and the scan loop against a dense oracle on
-    the same stacks."""
+    """The run stage against its forced-packed engine, on stacks whose trials
+    die on both sides of the hand-off, and the scan loop against a dense
+    oracle on the same stacks."""
 
     @staticmethod
     def _stacks(rng, count):
@@ -136,7 +150,7 @@ class TestPhaseEquivalence:
                        int(rng.integers(1, 41)))
             C = int(rng.integers(0, 5))  # C >= m: pads wider than the trial
             U = int(rng.integers(1, n + 1))
-            # per trial, sparse noise that dies at once or dense runs that outlive the switch
+            # per trial, sparse noise that dies at once or dense runs that outlive the hand-off
             density = rng.choice([0.1, 0.9], size=(T, 1, 1))
             z = rng.random((T, m, n)) < density
             # small integers: equal sums within and across lengths force the tie rules
@@ -149,10 +163,10 @@ class TestPhaseEquivalence:
         for x, z, C, U, center in self._stacks(rng, 400):
             phase(DENSE)
             lengths, ends = _kernels._chain_ends(z, C)
-            phase(64)
+            phase(4)
             switch = _switch_layer(z, C)
             mixed += bool(lengths[lengths > 0].min(initial=switch) < switch <= lengths.max())
-            for ratio in (SPARSE, 4, 64):
+            for ratio in (SPARSE, 1, 4):
                 phase(ratio)
                 got_lengths, got_ends = _kernels._chain_ends(z, C)
                 assert np.array_equal(got_lengths, lengths)
@@ -162,7 +176,7 @@ class TestPhaseEquivalence:
             assert np.array_equal(got_values, values)
             assert np.array_equal(got_scan_ends, scan_ends)
             assert np.array_equal(got_us, us)
-        assert mixed >= 20  # stacks with a trial dead before the switch and one after
+        assert mixed >= 20  # stacks with a trial dead before the hand-off and one after
 
     def test_tied_chains_keep_the_row_major_first_end(self, phase):
         # trial 0: equal 3-runs ending at (2, 3) and (0, 6); the later column wins
@@ -180,8 +194,9 @@ class TestPhaseEquivalence:
             assert values.tolist() == [3 / math.sqrt(3)] * 2
 
     def test_no_offset_links_trials_or_the_pad_column(self, phase):
-        # trial 0's last column sits just before the pad column and trial 1's
-        # first column; C = 2 reaches past every row of a 3-row trial
+        # trial 0's last column sits just before the pad column (the pad bits of
+        # a packed row) and trial 1's first column; C = 2 reaches past every row
+        # of a 3-row trial
         z = np.zeros((3, 3, 5), dtype=bool)
         z[0, :, -1] = True
         z[1, :, 0] = True
@@ -211,7 +226,7 @@ class TestStoppedRunStage:
     """A stop layer caps each length at the stop and leaves the rest of the
     pass as it was, in either phase."""
 
-    RATIOS = (SPARSE, 4, 64, DENSE)
+    RATIOS = (SPARSE, 1, 4, DENSE)
 
     def _check(self, z, C, stop, full_lengths, full_ends):
         ends = np.full(len(z), -7, dtype=np.int64)
@@ -272,6 +287,79 @@ class TestStoppedRunStage:
             phase(ratio)
             for stop in (1, 6, int(full_lengths[0]), 301):
                 self._check(z, 1, stop, full_lengths, full_ends)
+
+
+class TestWordBoundaries:
+    """The packed phase where a row's words begin and end: one word (n < 64),
+    a full word and then the zero pad word (64, 128), and a spill into the next
+    word (65, 129). Lengths, ends and witnesses match the live-cell list from
+    layer 1 and, on maps small enough, the exhaustive oracle, in either phase
+    and at stops inside the packed phase."""
+
+    GEOMETRIES = ((1, 0), (1, 1), (1, 2), (3, 0), (3, 1), (2, 4))  # (m, C); C >= m too
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 700])
+    def test_random_rows_match_the_list(self, n, phase):
+        rng = np.random.default_rng([27, n])
+        for m, C in self.GEOMETRIES:
+            # per trial: sparse noise, dense noise, nearly full rows and full rows
+            z = rng.random((4, m, n)) < np.array([0.1, 0.6, 0.95, 1.0])[:, None, None]
+            phase(SPARSE)
+            lengths, ends = _kernels._chain_ends(z, C)
+            witnesses = [_kernels.longest_chain_with_witness(b, C) for b in z]
+            if m * n <= 64 and n <= 12:
+                assert lengths.tolist() == [longest_run_bruteforce(SignificanceMap(b), C)
+                                            for b in z]
+            stops = sorted({1, 2, n // 2 + 1, n})
+            firsts = {stop: _layer_firsts(z, C, stop) for stop in stops}
+            for ratio in (DENSE, 1, 4):
+                phase(ratio)
+                got_lengths, got_ends = _kernels._chain_ends(z, C)
+                assert np.array_equal(got_lengths, lengths)
+                assert np.array_equal(got_ends, ends)
+                assert [_kernels.longest_chain_with_witness(b, C) for b in z] == witnesses
+                for stop in stops:  # at DENSE every stop lands in the packed phase
+                    capped = lengths > stop
+                    stop_ends = np.full(len(z), -7, dtype=np.int64)
+                    got = _kernels.chain_lengths(z, C, stop_ends, stop=stop)
+                    assert np.array_equal(got, np.minimum(lengths, stop))
+                    assert np.array_equal(stop_ends[~capped], ends[~capped])
+                    assert np.array_equal(stop_ends[capped], firsts[stop][capped])
+
+    def test_ends_on_the_top_bit_of_a_word(self, phase):
+        # n = 128 is two full words a row: a run ending at column 63 (bit 63 of
+        # word 0), one carried across into word 1, and one ending at column 127
+        # (bit 63 of word 1, before the pad word)
+        z = np.zeros((3, 1, 128), dtype=bool)
+        z[0, 0, 60:64] = z[0, 0, 100:103] = True
+        z[1, 0, 61:68] = True
+        z[2, 0, 120:128] = True
+        for ratio in (SPARSE, 1, DENSE):
+            phase(ratio)
+            lengths, ends = _kernels._chain_ends(z, 0)
+            assert lengths.tolist() == [4, 7, 8] and ends.tolist() == [63, 67, 127]
+            assert [_kernels.longest_chain_with_witness(b, 1) for b in z] == [
+                (4, 60, [0] * 4), (7, 61, [0] * 7), (8, 120, [0] * 8)]
+            ends = np.zeros(3, dtype=np.int64)  # the first cells that end chains of 3 nodes
+            assert _kernels.chain_lengths(z, 0, ends, stop=3).tolist() == [3, 3, 3]
+            assert ends.tolist() == [62, 63, 122]
+
+    def test_trials_end_on_both_sides_of_the_hand_off(self, phase):
+        # trial 0, a 2-run across a word boundary, ends in the packed phase;
+        # trial 1, a full 700-column row, is handed to the live-cell list and
+        # ends there; trial 2 is empty
+        z = np.zeros((3, 1, 700), dtype=bool)
+        z[0, 0, 63:65] = True
+        z[1] = True
+        phase(2)
+        switch = _switch_layer(z, 1)
+        assert 2 < switch < 700
+        lengths, ends = _kernels._chain_ends(z, 1)
+        assert lengths.tolist() == [2, 700, 0] and ends.tolist() == [64, 699, 0]
+        for stop in (2, switch - 1, switch, switch + 1, 700):  # on both sides of the hand-off
+            ends = np.zeros(3, dtype=np.int64)
+            assert _kernels.chain_lengths(z, 1, ends, stop=stop).tolist() == [2, stop, 0]
+            assert ends.tolist() == [64, stop - 1, 0]
 
 
 def _best_sums(x, z, C):

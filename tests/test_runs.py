@@ -53,10 +53,11 @@ class TestLongestRun:
     @pytest.mark.parametrize("ratio", [1, 4, 512])
     def test_tie_witness_independent_of_engine(self, ratio, monkeypatch):
         # two disjoint 5-runs: the witness ends at the row-major first endpoint
-        # whichever phase finds it. Layer 1 has 14 of 56 cells live, so the
-        # switch ratio 1 goes sparse at once, 4 after one dense step, 512 never.
-        monkeypatch.setattr(_kernels, "_SPARSE_RATIO", ratio)
-        bits = np.zeros((4, 14), dtype=bool)
+        # whichever phase finds it. A packed layer holds 12 words (4 rows of 3),
+        # and layers 1 and 2 have 5 and 2 nonzero bytes, so the list cost 1 hands
+        # off at once, 4 after one packed step, 512 never.
+        monkeypatch.setattr(_kernels, "_LIST_COST", ratio)
+        bits = np.zeros((4, 130), dtype=bool)
         bits[0, 8:13] = True
         bits[3, 2:7] = True
         bits[:, 0] = True  # four 1-node runs

@@ -24,6 +24,7 @@ from chainscan import (
 from chainscan import _kernels
 from chainscan import simulate as simulate_module
 from chainscan.cli import main
+from chainscan.detector import _resolve
 from conftest import bernoulli_reference
 
 
@@ -155,7 +156,7 @@ class TestOneRule:
 
     @staticmethod
     def _decisions(spec, config, power):
-        """``detect``'s stage on each trial grid, replaying the estimator's draws
+        """``detect``'s stage and l0 on each trial grid, replaying the estimator's draws
         batch by batch: the bits (one byte per cell, then the tie uniforms);
         for power, the batch's start columns, first rows and steps, then fresh
         values on the planted cells; then tail values on the other set bits of
@@ -168,7 +169,7 @@ class TestOneRule:
         m, n, C = spec.m, spec.n, spec.C
         length = spec.length_law.realize(n)
         above, below = config.x_star + 1.0, config.x_star - 1.0
-        stages = []
+        stages, l0 = [], []
         for t in _kernels.trial_batches(spec.trials, m, n):
             x = np.where(bernoulli_reference(rng, (t, m, n), config.p), above, below)
             planted = np.zeros(x.shape, dtype=bool)
@@ -187,7 +188,9 @@ class TestOneRule:
                                                                   chain.end_col)
                     x[k][cells] = values[k]
                     planted[k][cells] = True
-            batch = [detect(ImageGrid(grid), config).deciding_stage for grid in x]
+            results = [detect(ImageGrid(grid), config) for grid in x]
+            batch = [res.deciding_stage for res in results]
+            l0 += [res.l0_length for res in results]
             keep = [k for k, stage in enumerate(batch) if stage != "step1"]
             x, tail = x[keep], (x[keep] > config.x_star) & ~planted[keep]
             x[tail] = _kernels._normal_tail(rng, np.count_nonzero(tail), config.x_star)
@@ -195,7 +198,7 @@ class TestOneRule:
                 batch[k] = detect(ImageGrid(grid), config).deciding_stage
                 assert batch[k] != "step1"  # the values do not change the bits
             stages += batch
-        return stages
+        return stages, l0
 
     @pytest.mark.parametrize("batch_cells", [None, 1])
     def test_rates_count_detect_rejections(self, monkeypatch, batch_cells):
@@ -203,21 +206,35 @@ class TestOneRule:
             monkeypatch.setattr(_kernels, "_BATCH_CELLS", batch_cells)
         config = config_for(self.SPEC)
         for estimate, power in ((estimate_type1, False), (estimate_power, True)):
-            decided = self._decisions(self.SPEC, config, power)
+            decided, _ = self._decisions(self.SPEC, config, power)
             hits = sum(stage != "none" for stage in decided)
             assert estimate(self.SPEC, config=config).rate == hits / self.SPEC.trials
         assert set(decided) == {"step1", "step2", "none"}  # the power stack tests both stages
 
     @pytest.mark.parametrize("batch_cells", [None, 1])
     def test_long_random_chains_count_detect_rejections(self, monkeypatch, batch_cells):
+        # a rejection count can agree by chance, so the run stage's lengths must
+        # agree trial by trial too: the loop reads min(l0, stop) of each trial
         if batch_cells is not None:  # one trial per batch, else two batches
             monkeypatch.setattr(_kernels, "_BATCH_CELLS", batch_cells)
         spec = self.LONG_SPEC
         config = config_for(spec)
-        decided = self._decisions(spec, config, power=True)
+        decided, l0 = self._decisions(spec, config, power=True)
         hits = sum(stage != "none" for stage in decided)
         assert 0 < hits < spec.trials
+        seen, chain_lengths = [], _kernels.chain_lengths
+
+        def recorded(*args, **kwargs):  # each call's stop and lengths
+            seen.append((kwargs["stop"], chain_lengths(*args, **kwargs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(_kernels, "chain_lengths", recorded)
         assert estimate_power(spec, config=config).rate == hits / spec.trials
+        stop = math.floor(_resolve(config, spec.m, spec.n)[0].step1) + 1
+        assert {s for s, _ in seen} == {stop}
+        assert np.concatenate([lengths for _, lengths in seen]).tolist() == [
+            min(length, stop) for length in l0]
+        assert max(l0) > stop > min(l0)  # the stop caps some trials and not others
 
 
 class TestDrawAheadWorker:

@@ -14,8 +14,9 @@ fit in one trial batch, power estimates whose planted chains decide some
 trials but not all, the Monte Carlo null sampler's bits and tail values,
 seeded chain draws, the batched kernels and witnesses
 (also on stacks with about 0.2-0.3 of their cells significant, and at drift
-windows C = 3 and 5 that reach past small grids' rows), the null grids of
-the complexity criterion, and the stdout of every demo. It runs in about a
+windows C = 3 and 5 that reach past small grids' rows, and at widths around
+the 64-column words of the packed run stage), the null grids of the
+complexity criterion, and the stdout of every demo. It runs in about a
 minute on two cores.
 """
 
@@ -311,7 +312,7 @@ def kernels() -> None:
     emit("kernels/deep", _kernels.chain_lengths(deep, 1).tobytes()
          + repr(_kernels.longest_chain_with_witness(deep[1], 1)).encode())
     # a monte-carlo-sized batch whose trials end on both sides of the run
-    # stage's dense/sparse switch: sparse noise, null noise, nothing, deep chains
+    # stage's packed/list hand-off: sparse noise, null noise, nothing, deep chains
     x = rng(20, 27).standard_normal((6, 10, 2000))
     z = x > X_STAR
     z[2] = x[2] > 2.5
@@ -332,7 +333,7 @@ def kernels() -> None:
 
 def dense_fraction_stacks() -> None:
     """Batched kernels and single-grid views on 4x10x300 stacks dense enough that
-    a layer loop with a dense phase would stay in it for several layers: x* =
+    the run stage stays in its packed phase for a dozen layers or more: x* =
     0.5244 (p about 0.3) at C = 1 and x* = 0.92 (p about 0.18) at C = 2."""
     for x_star, C in ((0.5244, 1), (0.92, 2)):
         for seed in range(3):
@@ -352,8 +353,8 @@ def dense_fraction_stacks() -> None:
 def wide_drift_stacks() -> None:
     """Batched kernels, single-grid views and witnesses at C = 3 and 5, where
     the drift window reaches past the rows of small grids (C >= m), on stacks
-    whose trials have densities 0.2, 0.6 and 0.9. In 7 of the 16 stacks
-    trials end on both sides of the run stage's dense/sparse switch."""
+    whose trials have densities 0.2, 0.6 and 0.9. In one of the 16 stacks
+    trials end on both sides of the run stage's packed/list hand-off."""
     for C in (3, 5):
         for m in range(1, 9):
             r = rng(20, 29, C, m)
@@ -371,6 +372,27 @@ def wide_drift_stacks() -> None:
                 parts.append(repr(cs.longest_run_length(sig, C)).encode())
                 parts.append(repr(cs.scan_statistic(grid, sig, C, U, center=center)).encode())
             emit(f"kernels/wide-drift-C{C}-m{m}", b"|".join(parts))
+
+
+def word_boundary_stacks() -> None:
+    """Run-stage lengths, ends (also under stops) and witnesses on stacks whose
+    rows end at and around the 64-column words of the packed layers: n = 1,
+    63, 64, 65, 127, 128, 129 and 700, one row at C = 0, 1 and 2 and three rows
+    at C = 4 (C >= m). Trials have densities 0.1, 0.6, 0.95 and 1, and one
+    holds 4-runs that end on the top bit of each word."""
+    for n in (1, 63, 64, 65, 127, 128, 129, 700):
+        for m, C in ((1, 0), (1, 1), (1, 2), (3, 4)):
+            z = rng(20, 30, n, m, C).random((5, m, n)) < np.array([0.1, 0.6, 0.95, 1.0, 0.0])[
+                :, None, None]
+            for top in range(63, n, 64):
+                z[4, 0, top - 3 : top + 1] = True
+            parts = []
+            for stop in (None, 1, 2, 5, n // 2 + 1):
+                ends = np.zeros(len(z), dtype=np.int64)
+                parts += [_kernels.chain_lengths(z, C, ends, stop=stop).tobytes(), ends.tobytes()]
+            parts += [repr(_kernels.longest_chain_with_witness(b, C)).encode() for b in z]
+            parts += [repr(cs.longest_run_length(cs.SignificanceMap(b), C)).encode() for b in z]
+            emit(f"kernels/word-boundary-n{n}-m{m}-C{C}", b"|".join(parts))
 
 
 def complexity_grids() -> None:
@@ -408,5 +430,6 @@ if __name__ == "__main__":
     kernels()
     dense_fraction_stacks()
     wide_drift_stacks()
+    word_boundary_stacks()
     complexity_grids()
     demos()
