@@ -28,13 +28,8 @@ for a caller that reads only whether a length passes a cut below it.
 The Monte Carlo loops draw null stacks sparsely: Bernoulli(p) significance
 bits from :func:`bernoulli_stack`, one random byte per cell plus a uniform
 for the rare byte that ties, and values on set bits from
-:func:`_normal_tail`, N(0, 1) truncated to (x*, inf). The loops that read
-every trial (alarm calibration, the run-rate estimator) draw through
-:func:`drawn_ahead`: one batch of :func:`trial_batches` is drawn ahead on one
-worker thread while the caller scores the current one. The worker alone
-calls the generator, in the loop's order, so every output is bit-identical
-to a sequential loop; there is no option to set. The error-rate loop draws
-values only for the trials that Step I leaves, so it draws in line.
+:func:`_normal_tail`, N(0, 1) truncated to (x*, inf). Each loop draws a
+batch of :func:`trial_batches` on its generator, scores it, and goes on.
 """
 
 from __future__ import annotations
@@ -59,34 +54,6 @@ def trial_batches(trials: int, m: int, n: int):
     size = max(1, _BATCH_CELLS // (m * n))
     for start in range(0, trials, size):
         yield min(size, trials - start)
-
-
-def drawn_ahead(draw, sizes):
-    """Yield ``draw(size)`` for each item of ``sizes``, in order, drawing the
-    next batch on one worker thread while the caller works on the current one.
-
-    Only the worker calls ``draw`` while the loop runs, one call at a time and
-    in the order of ``sizes``, so a ``draw`` over a numpy ``Generator`` gives
-    the same values as a sequential loop, bit for bit. Generator fills and
-    the kernels' numpy calls release the interpreter lock, so the draw of
-    batch k + 1 overlaps the scoring of batch k; the cost is one batch held
-    ahead. An exception from ``draw`` reaches the caller unchanged. The worker
-    is joined when the loop ends, when the generator is closed, and when
-    either side raises.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    sizes = iter(sizes)
-    size = next(sizes, None)
-    if size is None:
-        return
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        pending = worker.submit(draw, size)
-        for size in sizes:
-            batch = pending.result()
-            pending = worker.submit(draw, size)
-            yield batch
-        yield pending.result()
 
 
 def _firsts(a: np.ndarray) -> np.ndarray:

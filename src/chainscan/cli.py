@@ -22,7 +22,7 @@ from .detectability import (
 )
 from .detector import detect, detect_frames, make_config
 from .errors import ParseError
-from .grid import load_csv_grid, load_pgm_grid
+from .grid import _ascii_text, load_csv_grid, load_pgm_grid
 from .rates import (
     MAX_EXACT_ROWS,
     build_transfer_operator,
@@ -183,8 +183,7 @@ def _check_spec_types(obj, table: dict, where: str) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.spec, "r", encoding="ascii") as fh:
-        raw = json.load(fh)
+    raw = json.loads(_ascii_text(args.spec, ValueError))
     _check_spec_types(raw, _SPEC_TYPES, "spec JSON")
     if "seed" not in raw:
         raise ValueError("spec JSON must carry an explicit seed (no hidden entropy)")

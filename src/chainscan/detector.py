@@ -9,8 +9,8 @@ configuration is resolved by simulation. Every entry point (detection,
 frame mode and the Monte Carlo harness) resolves the cuts and the scan cap
 of a configuration on the grid shape once, and so runs all of its checks,
 before any stage runs. Frame mode scores the raw (uncentered) scan
-statistic against empirical cuts. Frame mode and alarm calibration compute
-both statistics on stacks of trials through one batched path; the Monte
+statistic against empirical cuts. Frame mode and alarm calibration score
+both statistics on stacks of trials through one batched scorer; the Monte
 Carlo rejection loop calls the same kernels.
 """
 
@@ -211,12 +211,12 @@ def detect(grid: ImageGrid, config: DetectorConfig) -> DetectionResult:
     return DetectionResult(False, "none", run.length, scan.value, thr, None)
 
 
-def _stack_stats(x: np.ndarray, z: np.ndarray, config: DetectorConfig,
-                 U: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact longest-run lengths and raw capped scan values of a (T, m, n)
-    intensity stack ``x`` with significance bits ``z``."""
-    return (_kernels.chain_lengths(z, config.C),
-            _kernels.scan_values(x, z, config.C, U))
+def _score_stacks(stacks, C: int, U: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact longest-run lengths and raw capped scan values of every trial, in order,
+    of (x, z) pairs: a (T, m, n) intensity stack and its significance bits."""
+    scored = [(_kernels.chain_lengths(z, C), _kernels.scan_values(x, z, C, U))
+              for x, z in stacks]
+    return tuple(np.concatenate(part) for part in zip(*scored))
 
 
 def detect_frames(
@@ -247,12 +247,9 @@ def detect_frames(
         if (frame.m, frame.n) != (m, n):
             raise ValueError(f"frame {k} is {frame.m}x{frame.n}, expected {m}x{n}")
     _, U = _resolve(config, m, n)
-    batches, done = [], 0
-    for t in _kernels.trial_batches(len(frames), m, n):
-        stack = np.stack([g.values for g in frames[done : done + t]])
-        batches.append(_stack_stats(stack, stack > config.x_star, config, U))
-        done += t
-    lengths, values = (np.concatenate(part) for part in zip(*batches))
+    bounds = np.cumsum([0, *_kernels.trial_batches(len(frames), m, n)]).tolist()
+    stacks = (np.stack([g.values for g in frames[a:b]]) for a, b in zip(bounds, bounds[1:]))
+    lengths, values = _score_stacks(((x, x > config.x_star) for x in stacks), config.C, U)
     alarms = (lengths > l0_alarm) | (values > scan_alarm)
     return [FrameStat(k, int(length), float(value), bool(alarm))
             for k, (length, value, alarm) in enumerate(zip(lengths, values, alarms))]

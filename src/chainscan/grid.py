@@ -149,6 +149,17 @@ def significance_map(grid: ImageGrid, x_star: float) -> SignificanceMap:
     return SignificanceMap(grid.values > x_star)
 
 
+def _ascii_text(path, error=ParseError) -> str:
+    """A file's text; a non-ASCII byte raises ``error`` naming the path and its line."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    try:
+        return buf.decode("ascii")
+    except UnicodeDecodeError as exc:  # the lines before the byte are ASCII
+        line = len((buf[: exc.start].decode("ascii") + ".").splitlines())
+        raise error(f"{path}: line {line}: non-ASCII byte 0x{buf[exc.start]:02x}") from None
+
+
 def load_csv_grid(path) -> ImageGrid:
     """Load a grid from CSV: header line ``m,n`` then m lines of n numbers.
 
@@ -159,8 +170,7 @@ def load_csv_grid(path) -> ImageGrid:
     file goes through the line-by-line parser, which accepts the same files
     and raises a :class:`ParseError` naming the line and column at fault.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _ascii_text(path).splitlines()
     if not lines or not any(line.strip() for line in lines):
         raise ParseError(f"{path}: empty file")
     header = lines[0].strip()

@@ -260,9 +260,9 @@ def estimate_run_rate(
     if not (0.0 < p < 1.0):
         raise ValueError(f"need p in (0,1), got {p}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, m, C]))
-    draws = _kernels.drawn_ahead(lambda t: _kernels.bernoulli_stack(rng, t, m, n_cols, p),
-                                 _kernels.trial_batches(trials, m, n_cols))
-    lengths = np.concatenate([_kernels.chain_lengths(bits, C) for bits in draws])
+    lengths = np.concatenate([
+        _kernels.chain_lengths(_kernels.bernoulli_stack(rng, t, m, n_cols, p), C)
+        for t in _kernels.trial_batches(trials, m, n_cols)])
     estimates = [n_cols ** (-1.0 / float(s)) for s in lengths if s > 0]
     if not estimates:
         raise EstimationError("every trial produced an empty net; cannot estimate")

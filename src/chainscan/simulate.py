@@ -18,10 +18,8 @@ one vectorized draw (``grid._chain_draw``, whose one-chain case on a seed is
 N(mu, 1) values on the planted cells, whose bits are recomputed; the run
 stage, stopped at the first layer above the Step I cut; and only for the
 trials Step I leaves, tail values on the other set bits, then the scan. Alarm
-calibration reads every trial's values: it draws one batch ahead on one
-worker thread (``_kernels.drawn_ahead``), in the loop's order, so its output
-is that of a sequential loop, and takes empirical quantiles of the exact
-run lengths and of the raw scan statistic, the scale that frame mode
+calibration draws every trial's values and takes empirical quantiles of the
+exact run lengths and of the raw scan statistic, the scale that frame mode
 scores. The seeds drive only these draws: the detector configuration is
 resolved without simulation.
 """
@@ -40,7 +38,7 @@ from .detectability import (
     DEFAULT_X_STAR,
     null_conditional_mean,
 )
-from .detector import DetectorConfig, _resolve, _stack_stats, make_config
+from .detector import DetectorConfig, _resolve, _score_stacks, make_config
 from .grid import ChainPath, _chain_draw, _clamped_walk
 
 __all__ = [
@@ -261,14 +259,13 @@ def calibrate_alarms(
     _, cap = _resolve(config, m, n)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
 
-    def draw(t: int) -> tuple[np.ndarray, np.ndarray]:
-        z = _kernels.bernoulli_stack(rng, t, m, n, config.p)
-        x = np.zeros(z.shape)  # only the set bits' entries are read
-        x[z] = _kernels._normal_tail(rng, np.count_nonzero(z), config.x_star)
-        return x, z
+    def stacks():  # each batch's bits, then tail values on its set bits
+        for t in _kernels.trial_batches(trials, m, n):
+            z = _kernels.bernoulli_stack(rng, t, m, n, config.p)
+            x = np.zeros(z.shape)  # only the set bits' entries are read
+            x[z] = _kernels._normal_tail(rng, np.count_nonzero(z), config.x_star)
+            yield x, z
 
-    batches = [_stack_stats(x, z, config, cap)
-               for x, z in _kernels.drawn_ahead(draw, _kernels.trial_batches(trials, m, n))]
-    lengths, values = (np.concatenate(part) for part in zip(*batches))
+    lengths, values = _score_stacks(stacks(), config.C, cap)
     q = 1.0 - alpha / 2.0
     return float(np.quantile(lengths, q)), float(np.quantile(values, q))

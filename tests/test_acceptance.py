@@ -242,16 +242,16 @@ def test_criterion_error_rates():
     """Null rejection rate, power, and the error-sum trend.
 
     The type-I band is known to fail, and Step I is the only remaining cause.
-    On the trend-check null grids (seed 103) Step I alone rejects 0.80, 0.82
-    and 0.89 at n = 500, 2000 and 8000; the centered Step II statistic
+    On the trend-check null grids (seed 103) Step I alone rejects 0.835, 0.82
+    and 0.88 at n = 500, 2000 and 8000; the centered Step II statistic
     rejects none of them. At epsilon = 1e-4 the cut
     (1 + epsilon/2) log_{1/rho} n sits at the typical null longest run, so
     the null rejection rate is about 1 - exp(-K n^(-epsilon/2)), which does
     not fall over any testable n. Reaching 0.10 at n = 2000 would need
     epsilon of about 0.7 or more; the paper's abstract fixes no finite-n
     epsilon, and the frozen detectability tables pass with 1e-4, so epsilon
-    stays. Observed: type-I 0.815, power 1.000, error sums 0.80, 0.82,
-    0.89; the trend check passes.
+    stays. Observed: type-I 0.800, power 1.000, error sums 0.835, 0.82,
+    0.88; the trend check passes.
     """
     t0 = time.time()
     type1 = estimate_type1(ExperimentSpec(m=10, n=2000, x_star=X_STAR, trials=200,

@@ -174,6 +174,13 @@ class TestDetectCommand:
         assert "missing.csv" in err
         assert out == ""
 
+    def test_non_ascii_input_names_its_line(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_bytes(b"2,2\n1,2\n1,\xe9\n")
+        code, out, err = run_cli("detect", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 3: non-ASCII byte 0xe9\n"
+
     def test_json_output_on_csv(self, tmp_path):
         grid = generate_null_grid(10, 120, seed=3)
         chain = generate_chain(10, 120, 1, 120, seed=4)
@@ -384,6 +391,13 @@ class TestSimulateCommand:
         code, out, err = run_cli("simulate", "--spec", str(spec))
         assert code == 2 and out == ""
         assert "object" in err
+
+    def test_non_ascii_spec_names_its_line(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"m": 6, "n": 150,\n "trials": 50, "seed": 5,\n "\xc3\xa9": 1}')
+        code, out, err = run_cli("simulate", "--spec", str(spec))
+        assert (code, out) == (2, "")
+        assert err == f"error: {spec}: line 3: non-ASCII byte 0xc3\n"
 
     def test_threads_flag_removed(self, tmp_path):
         spec = tmp_path / "spec.json"

@@ -69,8 +69,7 @@ class TestConfig:
         def refuse(*args, **kwargs):
             raise AssertionError("a rate was estimated by Monte Carlo")
 
-        for name in ("drawn_ahead", "bernoulli_stack"):
-            monkeypatch.setattr(_kernels, name, refuse)
+        monkeypatch.setattr(_kernels, "bernoulli_stack", refuse)
         monkeypatch.setattr(rates, "estimate_run_rate", refuse)
         cfg = make_config(12, regime="growing-m", seed=5)
         assert cfg == make_config(12, regime="growing-m", seed=0)

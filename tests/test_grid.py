@@ -60,6 +60,20 @@ class TestCsv:
         with pytest.raises(ParseError, match="empty"):
             load_csv_grid(path)
 
+    @pytest.mark.parametrize("data,line,byte", [
+        (b"\xef\xbb\xbf1,2\n1,2\n", 1, 0xEF),  # a UTF-8 byte-order mark
+        (b"2,2\n1,2\n1,2\xe9\n", 3, 0xE9),
+        (b"2,2\r\n1,2\r\n\r\n1,\xe9\r\n", 4, 0xE9),  # CRLF lines, a blank line counts
+        (b"1,2\r1,2\xc3\xa9", 2, 0xC3),  # bare CR line ends
+        (b"3000,1\n" + b"0\n" * 3000 + b"\xe9\n", 3002, 0xE9),  # past a read chunk
+    ])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, data, line, byte):
+        path = tmp_path / "g.csv"
+        path.write_bytes(data)
+        want = f"{path}: line {line}: non-ASCII byte 0x{byte:02x}"
+        with pytest.raises(ParseError, match=f"^{re.escape(want)}$"):
+            load_csv_grid(path)
+
     def test_round_trip_bit_exact(self, tmp_path, rng):
         g = ImageGrid(rng.standard_normal((5, 7)) * 1e3)
         path = tmp_path / "g.csv"

@@ -1,4 +1,3 @@
-import threading
 from itertools import product
 
 import numpy as np
@@ -426,23 +425,23 @@ class TestAreaRate:
         assert abs(kappa - resolve_area_rate(C, p)) < 3 * se
 
 
-class TestDrawAheadWorker:
-    """The Monte Carlo rates join their draw-ahead worker on return and on error."""
+class TestDrawStream:
+    def test_run_rate_replays_in_line_draws(self, monkeypatch):
+        m, C, p, n_cols, trials, seed = 4, 1, 0.2, 1000, 5, 1
+        monkeypatch.setattr(_kernels, "_BATCH_CELLS", 2 * m * n_cols)  # 2 trials per batch
+        seen, chain_lengths = [], _kernels.chain_lengths
 
-    CALLS = (lambda: estimate_run_rate(4, 1, 0.2, n_cols=1000, trials=6, seed=1),)
+        def recorded(bits, C):  # each batch's bits, as scored
+            seen.append(bits.copy())
+            return chain_lengths(bits, C)
 
-    def test_worker_joined(self, monkeypatch):
-        monkeypatch.setattr(rates._kernels, "_BATCH_CELLS", 4000)  # several batches each
-        start = threading.active_count()
-        for call in self.CALLS:
-            call()
-            assert threading.active_count() == start
-
-        def fail(bits, C):
-            raise RuntimeError("scoring failed")
-
-        monkeypatch.setattr(rates._kernels, "chain_lengths", fail)
-        for call in self.CALLS:
-            with pytest.raises(RuntimeError, match="scoring failed"):
-                call()
-            assert threading.active_count() == start
+        monkeypatch.setattr(_kernels, "chain_lengths", recorded)
+        got = estimate_run_rate(m, C, p, n_cols=n_cols, trials=trials, seed=seed)
+        # the documented draws, by hand: each batch's bits in turn on the loop's generator
+        rng = np.random.default_rng(np.random.SeedSequence([seed, m, C]))
+        want = [_kernels.bernoulli_stack(rng, t, m, n_cols, p) for t in (2, 2, 1)]
+        assert len(seen) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+        lengths = np.concatenate([chain_lengths(bits, C) for bits in want])
+        assert lengths.min() > 0
+        assert got.value == float(np.mean([n_cols ** (-1.0 / float(s)) for s in lengths]))

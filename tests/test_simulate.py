@@ -15,6 +15,7 @@ from chainscan import (
     detect_frames,
     embed_chain,
     estimate_power,
+    estimate_run_rate,
     estimate_type1,
     generate_chain,
     generate_null_grid,
@@ -237,40 +238,54 @@ class TestOneRule:
         assert max(l0) > stop > min(l0)  # the stop caps some trials and not others
 
 
-class TestDrawAheadWorker:
-    """The rejection loop starts no thread; alarm calibration joins its
-    draw-ahead worker on return and on error."""
+class TestDrawStream:
+    """Every Monte Carlo loop draws each batch on its generator and scores it
+    in line, on the caller's thread."""
 
-    def test_rejection_loop_starts_no_thread(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the rejection loop drew ahead")
+    def test_calibration_replays_in_line_draws(self, monkeypatch):
+        m, n, C, alpha, trials, seed = 6, 50, 1, 0.5, 100, 3
+        monkeypatch.setattr(_kernels, "_BATCH_CELLS", 7 * m * n)  # 7 trials per batch
+        config = make_config(m)
+        _, cap = _resolve(config, m, n)
+        scored, score_stacks = [], simulate_module._score_stacks
 
-        monkeypatch.setattr(_kernels, "drawn_ahead", refuse)
+        def recorded(*args):
+            scored.append(score_stacks(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(simulate_module, "_score_stacks", recorded)
+        got = calibrate_alarms(m, n, C, config.x_star, alpha, trials, seed, config=config)
+        # the documented draws, by hand: per batch the bits, then tail values on them
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
+        lengths, values = [], []
+        for t in [7] * 14 + [2]:
+            z = _kernels.bernoulli_stack(rng, t, m, n, config.p)
+            x = np.zeros(z.shape)
+            x[z] = _kernels._normal_tail(rng, np.count_nonzero(z), config.x_star)
+            lengths.append(_kernels.chain_lengths(z, C))
+            values.append(_kernels.scan_values(x, z, C, cap))
+        lengths, values = np.concatenate(lengths), np.concatenate(values)
+        [(got_lengths, got_values)] = scored
+        assert np.array_equal(got_lengths, lengths) and np.array_equal(got_values, values)
+        q = 1.0 - alpha / 2.0
+        assert got == (float(np.quantile(lengths, q)), float(np.quantile(values, q)))
+
+    def test_monte_carlo_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_BATCH_CELLS", 6 * 50)  # one trial per batch
+        start, seen, chain_lengths = threading.active_count(), [], _kernels.chain_lengths
+
+        def counted(*args, **kwargs):  # the threads alive while a batch is scored
+            seen.append(threading.active_count())
+            return chain_lengths(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "chain_lengths", counted)
         spec = ExperimentSpec(m=6, n=50, mu=2.0, trials=50, seed=1)
         config = config_for(spec)
-        start = threading.active_count()
         estimate_type1(spec, config)
         estimate_power(spec, config=config)
-        assert threading.active_count() == start
-
-    def test_worker_joined(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "_BATCH_CELLS", 6 * 50)  # one trial per batch
-        config = make_config(6)
-
-        def call():
-            return calibrate_alarms(6, 50, 1, config.x_star, alpha=1.0, trials=50, seed=1,
-                                    config=config)
-
-        start = threading.active_count()
-        call()
-        assert threading.active_count() == start
-
-        def fail(*args):
-            raise RuntimeError("scoring failed")
-
-        monkeypatch.setattr(simulate_module, "_stack_stats", fail)
-        with pytest.raises(RuntimeError, match="scoring failed"):
-            call()
+        calibrate_alarms(6, 50, 1, config.x_star, alpha=1.0, trials=50, seed=1, config=config)
+        estimate_run_rate(4, 1, 0.2, n_cols=1000, trials=6, seed=1)
+        assert len(seen) > 4 and set(seen) == {start}
         assert threading.active_count() == start
 
 

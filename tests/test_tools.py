@@ -1,0 +1,26 @@
+"""The paired benchmark's verdict rule (tools/bench_pair.py)."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+
+from bench_pair import verdict  # noqa: E402
+
+PARENT = [1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.0, 1.02, 0.98]  # quartiles 0.985, 1.015
+LOWER = {"better": "lower", "bound": 0.25}
+HIGHER = {"better": "higher", "bound": 0.25}
+
+
+def test_verdict():
+    def scaled(f):
+        return [f * v for v in PARENT]
+
+    assert verdict(PARENT, scaled(1.3), 0, LOWER) == "worse-than-bound"
+    assert verdict(PARENT, scaled(0.7), 0, HIGHER) == "worse-than-bound"
+    assert verdict(PARENT, scaled(1.2), 0, LOWER) == "unresolved"  # inside the bound
+    assert verdict(PARENT, scaled(0.5), 10, LOWER) == "better"
+    assert verdict(PARENT, scaled(0.5), 9, LOWER) == "better"
+    assert verdict(PARENT, scaled(0.5), 8, LOWER) == "unresolved"  # too few pairs won
+    assert verdict(PARENT, scaled(0.99), 10, LOWER) == "unresolved"  # inside the spread
+    assert verdict(PARENT, scaled(1.5), 10, HIGHER) == "better"

@@ -7,10 +7,13 @@ For every workload and seed, ``bench/run.py --trace 0`` runs once in each
 checkout, each in its own process from that checkout's root, so each side
 imports its own ``src/``. Even seeds run the parent first, odd seeds this
 checkout first, so a drift in machine load falls on both sides alike. The
-JSON written to ``--out`` holds every run's end-to-end metrics, the median of
-each metric per workload and side, the number of pairs in which this checkout
-did better on each metric (the direction is the one ``BENCHMARK.json`` gives),
-and the machine: nproc, Python and numpy versions.
+JSON written to ``--out`` holds every run's end-to-end metrics, the median and
+quartiles (numpy's linear percentiles 25 and 75) of each metric per workload
+and side, the number of pairs in which this checkout did better on each metric
+(the direction is the one ``BENCHMARK.json`` gives), a :func:`verdict` per
+workload and metric from that metric's ``bound`` and ``better``, and the
+machine: nproc, Python and numpy versions. Each verdict is also printed, one
+line per workload and metric, with both sides' medians and quartiles.
 """
 
 from __future__ import annotations
@@ -44,26 +47,51 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {name: m["value"] for name, m in out["metrics"].items()}}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> tuple[dict, dict]:
-    """Medians per workload, side and metric, and per workload and metric the
-    number of pairs in which the change did better than the parent."""
-    medians, wins = {}, {}
+def verdict(parent: list[float], change: list[float], wins: int, metric: dict) -> str:
+    """``worse-than-bound`` when the change's median is worse than the parent's by
+    more than the metric's relative ``bound``; ``better`` when the change wins at
+    least 9 of 10 pairs and the medians differ in its favour by more than the
+    parent's quartile spread; ``unresolved`` otherwise."""
+    sign = -1.0 if metric["better"] == "lower" else 1.0
+    gain = sign * (statistics.median(change) - statistics.median(parent))
+    if gain < -metric["bound"] * abs(statistics.median(parent)):
+        return "worse-than-bound"
+    q1, q3 = np.percentile(parent, [25, 75])
+    if 10 * wins >= 9 * len(parent) and gain > q3 - q1:
+        return "better"
+    return "unresolved"
+
+
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per workload: each side's median and quartiles of each metric, the number
+    of pairs in which the change did better than the parent, and for each metric
+    in ``metrics`` (the ``end_to_end`` entries of ``BENCHMARK.json`` by name) a
+    :func:`verdict`."""
+    summary = {key: {} for key in ("medians", "quartiles", "change_better_pairs", "verdicts")}
     for wl in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == wl]
         names = list(mine[0]["metrics"])
-        medians[wl] = {side: {name: statistics.median(r["metrics"][name] for r in mine
-                                                      if r["side"] == side)
-                              for name in names}
-                       for side in SIDES}
         pairs = {}
         for r in mine:
             pairs.setdefault(r["seed"], {})[r["side"]] = r["metrics"]
-        wins[wl] = {"pairs": len(pairs)}
+        values = {side: {name: [p[side][name] for p in pairs.values()] for name in names}
+                  for side in SIDES}
+        summary["medians"][wl] = {side: {name: statistics.median(v) for name, v in
+                                         values[side].items()} for side in SIDES}
+        summary["quartiles"][wl] = {side: {name: np.percentile(v, [25, 75]).tolist()
+                                           for name, v in values[side].items()}
+                                    for side in SIDES}
+        wins = {"pairs": len(pairs)}
         for name in names:
-            sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
-            wins[wl][name] = sum(sign * (p["change"][name] - p["parent"][name]) > 0
-                                 for p in pairs.values())
-    return medians, wins
+            sign = -1.0 if metrics.get(name, {}).get("better", "lower") == "lower" else 1.0
+            wins[name] = sum(sign * (p["change"][name] - p["parent"][name]) > 0
+                             for p in pairs.values())
+        summary["change_better_pairs"][wl] = wins
+        summary["verdicts"][wl] = {
+            name: verdict(values["parent"][name], values["change"][name], wins[name],
+                          metrics[name])
+            for name in names if name in metrics}
+    return summary
 
 
 def main(argv=None) -> int:
@@ -77,7 +105,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
     runs = []
     for wl in args.workloads:
@@ -89,14 +117,22 @@ def main(argv=None) -> int:
                 print(f"{wl} seed {seed} {side}: "
                       + ", ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items())
                       + f", failed {run['failed']}", file=sys.stderr, flush=True)
-    medians, wins = summarize(runs, better)
+    summary = summarize(runs, metrics)
     report = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "platform": platform.platform()},
-        "seconds": args.seconds, "seeds": args.seeds,
-        "runs": runs, "medians": medians, "change_better_pairs": wins,
+        "seconds": args.seconds, "seeds": args.seeds, "runs": runs, **summary,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for wl, verdicts in summary["verdicts"].items():
+        wins = summary["change_better_pairs"][wl]
+        for name, word in verdicts.items():
+            sides = ", ".join(
+                f"{side} {summary['medians'][wl][side][name]:.4g} "
+                "[{:.4g}, {:.4g}]".format(*summary["quartiles"][wl][side][name])
+                for side in SIDES)
+            print(f"{wl} {name}: {sides}; change better in {wins[name]} of "
+                  f"{wins['pairs']} pairs: {word}")
     return 0
 
 
