@@ -534,15 +534,33 @@ class TestSparseNullSampler:
                             _kernels.scan_values(dense, bits, C, U, center)) <= crit
 
 
+def _draw_normal(rng, t):
+    return rng.standard_normal((t, 6, 7))
+
+
+def _draw_bernoulli(rng, t):
+    return _kernels.bernoulli_stack(rng, t, 6, 7, 0.3)
+
+
 class TestTrialBatches:
+    @pytest.mark.parametrize("draw", [_draw_normal, _draw_bernoulli])
     @pytest.mark.parametrize("trials,batch_cells,sizes", [
         (23, 5 * 42, [5, 5, 5, 5, 3]),  # a ragged last batch
         (23, 1, [1] * 23),  # one trial per batch
         (4, 1 << 17, [4]),  # a single batch
     ])
-    def test_partitions(self, monkeypatch, trials, batch_cells, sizes):
+    def test_same_stream(self, monkeypatch, draw, trials, batch_cells, sizes):
+        """A loop that draws each batch in line on one generator draws the
+        partition's sizes in order, and leaves the generator in step."""
         monkeypatch.setattr(_kernels, "_BATCH_CELLS", batch_cells)
         assert list(_kernels.trial_batches(trials, 6, 7)) == sizes
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        got = [draw(rng, t) for t in _kernels.trial_batches(trials, 6, 7)]
+        want = [draw(ref, t) for t in sizes]
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert rng.random() == ref.random()  # the stream continues in step
 
 
 def test_import_loads_no_executor():
