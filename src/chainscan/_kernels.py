@@ -23,7 +23,8 @@ costs less than one over the words (``_LIST_COST``), it expands the nonzero
 words into the sorted live cells and follows them as the scan loop does.
 Both phases keep the same end rule, so a length, its end and its witness do
 not depend on the phase, at any depth. A stop layer ends both phases early
-for a caller that reads only whether a length passes a cut below it.
+for a caller that reads only whether a length passes a cut below it, and
+:func:`scan_values` skips the scan's ends but reports min(longest chain, U).
 
 The Monte Carlo loops draw null stacks sparsely: Bernoulli(p) significance
 bits from :func:`bernoulli_stack`, one random byte per cell plus a uniform
@@ -255,10 +256,11 @@ def longest_chain_with_witness(bits2d: np.ndarray, C: int) -> tuple[int, int | N
     return k, j - k + 1, backtrack(np.broadcast_to(0.0, bits.shape), bits, C, i, j, k)
 
 
-def _scan_ends(x: np.ndarray, z: np.ndarray, C: int, U: int,
-               center: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scan_ends(x: np.ndarray, z: np.ndarray, C: int, U: int, center: float,
+               with_ends: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Capped scan maximum per trial of (T, m, n) stacks, the flat index of the
-    cell that ends the best chain, and that chain's length.
+    cell that ends the best chain, that chain's length, and the trial's last
+    nonempty layer, min(longest chain, U) (0 when no bit is set).
 
     Layers indexed by chain length u: layer u holds the live cells (sorted
     flat indices into the :func:`_padded` layout) that end a significant chain
@@ -267,12 +269,12 @@ def _scan_ends(x: np.ndarray, z: np.ndarray, C: int, U: int,
     cannot exist). Each layer scores (best_u - center*u)/sqrt(u) at the
     trial's row-major first maximum, and a trial's end and length change only
     when its score strictly improves, so ties go to the smallest u, then to
-    row-major node order.
-    """
+    row-major node order. ``with_ends`` false skips that rule: same values,
+    ends 0 and lengths 1."""
     T, m, n = x.shape
     mn = m * n
     values = np.full(T, NEG_INF)
-    ends = np.zeros(T, dtype=np.int64)
+    ends, depth = np.zeros((2, T), dtype=np.int64)
     us = np.ones(T, dtype=np.int64)
     zp, offsets = _padded(z, C), _offsets(n, C)
     bounds = np.arange(T + 1) * ((m + 2 * C) * (n + 1))  # trial t: [bounds[t], bounds[t+1])
@@ -284,13 +286,18 @@ def _scan_ends(x: np.ndarray, z: np.ndarray, C: int, U: int,
     while cells.size:
         starts = np.searchsorted(cells, bounds)
         t = np.flatnonzero(starts[1:] > starts[:-1])
+        depth[t] = u
         top = np.maximum.reduceat(sums, starts[t])
-        hits = np.flatnonzero(sums == np.repeat(top, np.diff(starts)[t]))
-        first = hits[np.searchsorted(hits, starts[t])]  # each trial's row-major first maximum
-        score = (sums[first] - center * u) / math.sqrt(u)
+        if with_ends:
+            hits = np.flatnonzero(sums == np.repeat(top, np.diff(starts)[t]))
+            first = hits[np.searchsorted(hits, starts[t])]  # each trial's row-major first maximum
+            top = sums[first]
+        score = (top - center * u) / math.sqrt(u)
         better = score > values[t]
         t = t[better]
-        values[t], ends[t], us[t] = score[better], at[first[better]] - t * mn, u
+        values[t] = score[better]
+        if with_ends:
+            ends[t], us[t] = at[first[better]] - t * mn, u
         if u >= U:
             break
         succ, sig = _successors(cells, zp, offsets)
@@ -304,18 +311,23 @@ def _scan_ends(x: np.ndarray, z: np.ndarray, C: int, U: int,
         pred = np.broadcast_to(sums, sig.shape)[sig][order]
         sums = np.maximum.reduceat(pred, heads) + xs[at]
         u += 1
-    return values, ends, us
+    return values, ends, us, depth
 
 
 def scan_values(x: np.ndarray, z: np.ndarray, C: int, U: int,
-                center: float = 0.0) -> np.ndarray:
+                center: float = 0.0, lengths: np.ndarray | None = None) -> np.ndarray:
     """Capped normalized scan statistic per trial on (T, m, n) stacks (a 2-D
-    grid counts as one trial); ``center = 0`` gives the raw statistic."""
+    grid counts as one trial); ``center = 0`` gives the raw statistic.
+    ``lengths``, T int64 entries when given, receives each trial's last
+    nonempty layer from the same pass: min(longest chain, U)."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(z, dtype=bool)
     if x.ndim == 2:
         x, z = x[None], z[None]
-    return _scan_ends(x, z, C, U, center)[0]
+    values, _, _, depth = _scan_ends(x, z, C, U, center, with_ends=False)
+    if lengths is not None:
+        lengths[:] = depth
+    return values
 
 
 def scan_best_single(x2d: np.ndarray, z2d: np.ndarray, C: int, U: int,
@@ -324,7 +336,7 @@ def scan_best_single(x2d: np.ndarray, z2d: np.ndarray, C: int, U: int,
     and tie rule of :func:`_scan_ends`; (NEG_INF, None, None, None) when no
     node is significant."""
     x = np.asarray(x2d, dtype=np.float64)
-    values, ends, us = _scan_ends(x[None], np.asarray(z2d, dtype=bool)[None], C, U, center)
+    values, ends, us, _ = _scan_ends(x[None], np.asarray(z2d, dtype=bool)[None], C, U, center)
     value = float(values[0])
     if value == NEG_INF:
         return NEG_INF, None, None, None

@@ -149,7 +149,11 @@ def _cmd_frames(args) -> int:
     if not paths:
         raise ValueError(f"no .csv or .pgm frames in {args.dir}")
     frames = [_load_grid(p) for p in paths]
-    config = _build_config(args, frames[0].m)
+    m, n = frames[0].m, frames[0].n
+    for path, frame in zip(paths, frames):
+        if (frame.m, frame.n) != (m, n):
+            raise ValueError(f"{path} is {frame.m}x{frame.n}, expected {m}x{n} as in {paths[0]}")
+    config = _build_config(args, m)
     stats = detect_frames(frames, config, args.l0_alarm, args.scan_alarm)
     lines = ["frame,l0,xs,alarm"]
     for st in stats:

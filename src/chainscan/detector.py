@@ -213,10 +213,18 @@ def detect(grid: ImageGrid, config: DetectorConfig) -> DetectionResult:
 
 def _score_stacks(stacks, C: int, U: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact longest-run lengths and raw capped scan values of every trial, in order,
-    of (x, z) pairs: a (T, m, n) intensity stack and its significance bits."""
-    scored = [(_kernels.chain_lengths(z, C), _kernels.scan_values(x, z, C, U))
-              for x, z in stacks]
-    return tuple(np.concatenate(part) for part in zip(*scored))
+    of (x, z) pairs: a (T, m, n) intensity stack and its significance bits. One scan
+    pass per stack gives the values and min(l0, U); the run stage scores only the
+    trials still live at layer U."""
+    lengths, values = [], []
+    for x, z in stacks:
+        depth = np.empty(len(z), dtype=np.int64)
+        values.append(_kernels.scan_values(x, z, C, U, lengths=depth))
+        deep = np.flatnonzero(depth == U)
+        if deep.size:
+            depth[deep] = _kernels.chain_lengths(z[deep], C)
+        lengths.append(depth)
+    return np.concatenate(lengths), np.concatenate(values)
 
 
 def detect_frames(
@@ -230,9 +238,10 @@ def detect_frames(
     Frames are independent; an alarm fires when either statistic strictly
     exceeds its cut. The scan statistic is the raw one, so ``scan_alarm``
     belongs on the scale of :func:`chainscan.simulate.calibrate_alarms`, not
-    on that of the asymptotic Step II cut. Frames are scored in stacked
-    batches of about ``_kernels._BATCH_CELLS`` cells, with the same values
-    as the single-grid statistics; the output follows the input order.
+    on that of the asymptotic Step II cut. Frames are scored by
+    :func:`_score_stacks` in stacks of about ``_kernels._BATCH_CELLS`` cells
+    (larger stacks scan faster but hold more memory at once), with the same
+    values as the single-grid statistics, in input order.
     A NaN cut is an error; an infinite one is allowed, and +inf switches its
     statistic's alarm off.
     """

@@ -299,6 +299,15 @@ class TestFramesCommand:
                                "--scan-alarm", "5")
         assert code == 2
 
+    def test_shape_mismatch_names_both_files(self, tmp_path):
+        write_csv_grid(generate_null_grid(10, 30, seed=0), tmp_path / "a.csv")
+        write_csv_grid(generate_null_grid(10, 30, seed=1), tmp_path / "b.csv")
+        write_csv_grid(generate_null_grid(10, 20, seed=2), tmp_path / "c.csv")
+        code, out, err = run_cli("frames", "--dir", str(tmp_path), "--l0-alarm", "5",
+                                 "--scan-alarm", "5")
+        assert code == 2 and out == ""
+        assert f"{tmp_path / 'c.csv'} is 10x20, expected 10x30 as in {tmp_path / 'a.csv'}" in err
+
 
 class TestSimulateCommand:
     def test_runs_both_kinds(self, tmp_path):

@@ -313,3 +313,26 @@ class TestFrames:
             assert st.alarm == (length > 6 or value > 5.0)
         assert len(stats) == count
         assert stats[count // 2].x_star_s == UNREACHABLE
+
+    @pytest.mark.parametrize("batch_cells", [None, 3000, 1])
+    def test_frames_past_the_cap_keep_their_exact_l0(self, monkeypatch, batch_cells):
+        # the scan sees l0 only up to U = 10, so the run stage scores the planted
+        # frames apart; at 3 frames a batch they sit first (0), in the middle (4)
+        # and last (8) of a batch
+        if batch_cells is not None:
+            monkeypatch.setattr(_kernels, "_BATCH_CELLS", batch_cells)
+        config = make_config(10, U_override=10)
+        planted = (0, 4, 8)
+        frames = []
+        for k in range(9):
+            grid = generate_null_grid(10, 100, seed=k)
+            if k in planted:
+                grid = embed_chain(grid, generate_chain(10, 100, 1, 30, seed=k), 5.0)
+            frames.append(grid)
+        stats = detect_frames(frames, config, math.inf, math.inf)
+        for frame, st in zip(frames, stats):
+            sig = significance_map(frame, config.x_star)
+            assert st.l0_length == longest_run_length(sig, config.C).length
+            assert st.x_star_s == scan_statistic(frame, sig, config.C, 10).value
+        assert [st.index for st in stats if st.l0_length > 10] == list(planted)
+        assert min(stats[k].l0_length for k in planted) >= 30

@@ -170,10 +170,11 @@ class TestPhaseEquivalence:
                 assert np.array_equal(got_lengths, lengths)
                 assert np.array_equal(got_ends, ends)
             values, scan_ends, us = _dense_scan_ends(x, z, C, U, center)
-            got_values, got_scan_ends, got_us = _kernels._scan_ends(x, z, C, U, center)
+            got_values, got_scan_ends, got_us, depth = _kernels._scan_ends(x, z, C, U, center)
             assert np.array_equal(got_values, values)
             assert np.array_equal(got_scan_ends, scan_ends)
             assert np.array_equal(got_us, us)
+            assert np.array_equal(depth, np.minimum(lengths, U))
         assert mixed >= 20  # stacks with a trial dead before the hand-off and one after
 
     def test_tied_chains_keep_the_row_major_first_end(self, phase):
@@ -186,9 +187,10 @@ class TestPhaseEquivalence:
         for ratio in (SPARSE, DENSE):
             phase(ratio)
             lengths, ends = _kernels._chain_ends(z, 0)
-            values, scan_ends, us = _kernels._scan_ends(x, z, 0, 8, 0.0)
+            values, scan_ends, us, depth = _kernels._scan_ends(x, z, 0, 8, 0.0)
             assert lengths.tolist() == [3, 3] and ends.tolist() == [6, 19]
             assert us.tolist() == [3, 3] and scan_ends.tolist() == [6, 19]
+            assert depth.tolist() == [3, 3]
             assert values.tolist() == [3 / math.sqrt(3)] * 2
 
     def test_no_offset_links_trials_or_the_pad_column(self, phase):
@@ -203,9 +205,10 @@ class TestPhaseEquivalence:
         for ratio in (SPARSE, DENSE):
             phase(ratio)
             lengths, ends = _kernels._chain_ends(z, 2)
-            values, scan_ends, us = _kernels._scan_ends(x, z, 2, 5, 0.0)
+            values, scan_ends, us, depth = _kernels._scan_ends(x, z, 2, 5, 0.0)
             assert lengths.tolist() == [1, 1, 5] and ends.tolist() == [4, 0, 4]
             assert us.tolist() == [1, 1, 5] and scan_ends.tolist() == [4, 0, 4]
+            assert depth.tolist() == [1, 1, 5]
             assert [_kernels.longest_chain_with_witness(b, 2) for b in z] == [
                 (1, 4, [0]), (1, 0, [0]), (5, 0, [0] * 5)]
 
@@ -417,6 +420,37 @@ class TestScanEarlyExit:
             assert np.array_equal(tight, loose)
         else:
             assert (loose >= tight).all()
+
+
+class TestValuesOnlyScan:
+    """``scan_values`` runs the scan loop without its ends: its values are the
+    full loop's bit for bit, and the last nonempty layer it reports through
+    ``lengths`` is min(l0, U), 0 on a trial with no significant cell."""
+
+    def test_values_and_layers_match_the_full_loop(self):
+        rng = np.random.default_rng(20261021)
+        centers = (0.0, null_conditional_mean(DEFAULT_X_STAR))
+        case = 0
+        for n in (1, 2, 5, 63, 64, 65, 130):
+            for U in sorted({1, 2, 5, n} & set(range(1, n + 1))):
+                for center in centers:
+                    for C in range(4):
+                        # every (T, m) in 0..5 x 1..6 over the cases, empty stacks included
+                        T, m = case % 6, 1 + case // 6 % 6
+                        case += 1
+                        density = rng.choice([0.0, 0.2, 0.6, 0.95], size=(T, 1, 1))
+                        z = rng.random((T, m, n)) < density
+                        # small integers: chain sums tie within and across lengths
+                        x = np.where(z, rng.integers(-1, 4, size=(T, m, n)), 0).astype(float)
+                        layers = np.full(T, -1, dtype=np.int64)
+                        values = _kernels.scan_values(x, z, C, U, center, lengths=layers)
+                        full = _kernels._scan_ends(x, z, C, U, center)
+                        assert values.tobytes() == full[0].tobytes()
+                        longest = _kernels.chain_lengths(z, C)
+                        assert np.array_equal(layers, np.minimum(longest, U))
+                        assert np.array_equal(full[3], layers)
+                        assert not layers[~z.any(axis=(1, 2))].any()
+        assert case >= 36
 
 
 class TestStackViews:

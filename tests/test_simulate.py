@@ -242,10 +242,14 @@ class TestDrawStream:
     """Every Monte Carlo loop draws each batch on its generator and scores it
     in line, on the caller's thread."""
 
-    def test_calibration_replays_in_line_draws(self, monkeypatch):
+    @staticmethod
+    def _replay_calibration(monkeypatch, config):
+        """The exact lengths and raw values that ``calibrate_alarms`` scores at
+        m, n, C = 6, 50, 1, alpha 0.5, 100 trials, seed 3, in batches of 7 trials,
+        against a replay of its documented draws that runs ``chain_lengths`` and
+        ``scan_values`` on each batch; and its cuts."""
         m, n, C, alpha, trials, seed = 6, 50, 1, 0.5, 100, 3
         monkeypatch.setattr(_kernels, "_BATCH_CELLS", 7 * m * n)  # 7 trials per batch
-        config = make_config(m)
         _, cap = _resolve(config, m, n)
         scored, score_stacks = [], simulate_module._score_stacks
 
@@ -269,6 +273,17 @@ class TestDrawStream:
         assert np.array_equal(got_lengths, lengths) and np.array_equal(got_values, values)
         q = 1.0 - alpha / 2.0
         assert got == (float(np.quantile(lengths, q)), float(np.quantile(values, q)))
+        return lengths, cap
+
+    def test_calibration_replays_in_line_draws(self, monkeypatch):
+        self._replay_calibration(monkeypatch, make_config(6))
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_calibration_past_the_cap_replays_in_line_draws(self, monkeypatch, cap):
+        # the scan reports min(l0, cap), so the trials live at the cap take the run
+        # stage: at cap 1 every trial, at cap 3 some trials and not others
+        lengths, got_cap = self._replay_calibration(monkeypatch, make_config(6, U_override=cap))
+        assert got_cap == cap and (lengths > cap).any() and (lengths < 3).any()
 
     def test_monte_carlo_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_BATCH_CELLS", 6 * 50)  # one trial per batch

@@ -9,10 +9,11 @@ The script imports ``chainscan`` from the ``src`` directory beside it and
 takes no flags. It covers configuration reprs, run rates past the exact
 operator's row guard, exact area rates, every CLI command's output and
 ``--help`` text, detection on seeded null and planted grids in both
-regimes, frame mode and alarm calibration at 50x50, Monte Carlo calls that
-fit in one trial batch, power estimates whose planted chains decide some
-trials but not all, the Monte Carlo null sampler's bits and tail values,
-seeded chain draws, the batched kernels and witnesses
+regimes, frame mode and alarm calibration at 50x50 and where chains outlive
+the scan cap, Monte Carlo calls that fit in one trial batch, power estimates
+whose planted chains decide some trials but not all, the Monte Carlo null
+sampler's bits and tail values, seeded chain draws, the batched kernels and
+witnesses
 (also on stacks with about 0.2-0.3 of their cells significant, and at drift
 windows C = 3 and 5 that reach past small grids' rows, and at widths around
 the 64-column words of the packed run stage), the null grids of the
@@ -246,6 +247,26 @@ def one_batch() -> None:
     emit("estimate_type1/one-batch", repr(cs.estimate_type1(spec, config)))
 
 
+def past_the_cap() -> None:
+    """Calibration and frame mode where chains outlive the scan cap U, so the
+    run stage scores those trials apart from the scan: ``calibrate_alarms``
+    at U = 1 and 3 (6x50, 2,500 trials in 6 batches) at three levels, and
+    ``detect_frames`` on 40 frames of 50x50 (U = 10), each carrying a planted
+    30-node chain."""
+    for cap in (1, 3):
+        config = cs.make_config(6, U_override=cap)
+        cuts = [cs.calibrate_alarms(6, 50, 1, X_STAR, alpha=alpha, trials=2500, seed=cap,
+                                    config=config) for alpha in (0.02, 0.5, 1.0)]
+        emit(f"calibrate_alarms/u-cap{cap}", repr(cuts))
+    r = rng(30, 1)
+    frames = []
+    for k in range(40):
+        grid = cs.ImageGrid(r.standard_normal((50, 50)))
+        frames.append(cs.embed_chain(grid, cs.generate_chain(50, 50, 1, 30, seed=k), 4.0))
+    emit("detect_frames/past-the-cap", repr(cs.detect_frames(frames, cs.make_config(50),
+                                                             20, 8.0)))
+
+
 def planted_power() -> None:
     """``estimate_power`` at means where the power is strictly between 0 and 1,
     so that a misplaced chain node moves the rate: random chains at C = 1 and
@@ -424,6 +445,7 @@ if __name__ == "__main__":
     growing_detect()
     frames()
     one_batch()
+    past_the_cap()
     planted_power()
     null_sampler()
     chains()
