@@ -7,14 +7,14 @@ Each stage has one exact layer loop that returns per-trial values and ends:
 ``_chain_ends`` for the run stage and ``_scan_ends`` for the scan stage. A
 single-grid call is a T=1 view of its stage's loop. Layer k holds the cells
 that end a chain of k nodes, and its live cells fall geometrically with k.
-Every pass over live cells, and the one backtrack that rebuilds either
-stage's witness (the run stage's with all-zero intensities), works on one
-cell layout, :func:`_padded`, and one successor rule, the flat offsets of
-:func:`_offsets`: the pads keep every offset inside its trial, so no pass
-needs a bounds check. The scan loop follows the sorted live cells, with
-their chain sums, through :func:`_successors` from layer 1 on, so its cost
-follows the live cells, as in sparse dynamic programming (Eppstein, Galil,
-Giancarlo & Italiano, J. ACM 39, 1992). The run loop needs only
+Every pass over live cells, and the backtrack that rebuilds the scan
+stage's witness, works on one cell layout, :func:`_padded`, and one
+successor rule, the flat offsets of :func:`_offsets`: the pads keep every
+offset inside its trial, so no pass needs a bounds check. The scan loop
+follows the sorted live cells, with their chain sums, through
+:func:`_successors` from layer 1 on, so its cost follows the live cells, as
+in sparse dynamic programming (Eppstein, Galil, Giancarlo & Italiano,
+J. ACM 39, 1992). The run loop needs only
 reachability, so it starts on the same layout at one bit per cell,
 :func:`_packed`, and steps 64 cells of a row at a time with word shifts, ORs
 and ANDs, as bit-parallel string matching does (Baeza-Yates & Gonnet,
@@ -22,9 +22,13 @@ CACM 35, 1992; Myers, J. ACM 46, 1999). Once a step over the live cells
 costs less than one over the words (``_LIST_COST``), it expands the nonzero
 words into the sorted live cells and follows them as the scan loop does.
 Both phases keep the same end rule, so a length, its end and its witness do
-not depend on the phase, at any depth. A stop layer ends both phases early
-for a caller that reads only whether a length passes a cut below it, and
-:func:`scan_values` skips the scan's ends but reports min(longest chain, U).
+not depend on the phase, at any depth. The run witness needs only
+reachability too: :func:`_bit_backtrack` sweeps the chain's own columns as
+Python ints, one bit per row, and walks back to the smallest reachable row,
+the tie rule of :func:`backtrack` at all-zero intensities. A stop layer ends
+both phases early for a caller that reads only whether a length passes a cut
+below it, and :func:`scan_values` skips the scan's ends but reports
+min(longest chain, U).
 
 The Monte Carlo loops draw null stacks sparsely: Bernoulli(p) significance
 bits from :func:`bernoulli_stack`, one random byte per cell plus a uniform
@@ -135,7 +139,9 @@ def _chain_ends(bits: np.ndarray, C: int, stop: int | None = None,
     cells. At a trial's
     last nonempty layer both phases write its length and its first live cell
     in padded order, the row-major first: the lowest set bit of its first
-    nonzero word, or its first listed cell.
+    nonzero word, or its first listed cell. A packed layer of a stack checks
+    which trials are still live; a lone trial (T = 1) ends exactly at its
+    first empty layer, so it checks nothing while its layers are nonempty.
 
     A ``stop`` layer (an int >= 1) ends both phases there: a trial still live
     at layer ``stop`` gets length ``stop`` and the row-major first cell that
@@ -186,13 +192,15 @@ def _chain_ends(bits: np.ndarray, C: int, stop: int | None = None,
         # a row's last word has a zero top bit, so no carry leaves the row
         np.bitwise_or(shifted[1:], reach[:-1], out=shifted[1:])
         np.bitwise_and(shifted, z, out=nxt_span)
-        still = trials.any(axis=1)
-        if np.count_nonzero(still) < count:
-            done = np.flatnonzero(alive > still)  # cur is their last nonempty layer
-            finish(done, packed_firsts)
-            count -= done.size
-        cur, shifts, alive, k = nxt, nxt_shifts, still, k + 1
         live = np.count_nonzero(live_bytes)
+        if T > 1 or not live:  # a lone trial ends exactly at its first empty layer
+            still = trials.any(axis=1)
+            if np.count_nonzero(still) < count:
+                done = np.flatnonzero(alive > still)  # cur is their last nonempty layer
+                finish(done, packed_firsts)
+                count -= done.size
+            alive = still
+        cur, shifts, k = nxt, nxt_shifts, k + 1
     if not live or k == stop:
         if live:  # the trials still live end at the stop
             finish(np.flatnonzero(alive), packed_firsts)
@@ -241,7 +249,8 @@ def chain_lengths(bits: np.ndarray, C: int, ends: np.ndarray | None = None,
 def longest_chain_with_witness(bits2d: np.ndarray, C: int) -> tuple[int, int | None, list[int]]:
     """Longest chain plus one witness: the chain ends at the row-major first
     cell that ends a longest chain, and each earlier node takes the smallest
-    row, at any depth.
+    row, at any depth. The length and end come from one :func:`_chain_ends`
+    pass, the witness from the chain's bit columns (:func:`_bit_backtrack`).
 
     Returns (length, start_col_0based, rows_0based); rows is empty when no
     bit is set.
@@ -252,8 +261,35 @@ def longest_chain_with_witness(bits2d: np.ndarray, C: int) -> tuple[int, int | N
     if k == 0:
         return 0, None, []
     i, j = divmod(int(end[0]), bits.shape[1])
-    # all-zero intensities: a finite chain sum means the node is reachable
-    return k, j - k + 1, backtrack(np.broadcast_to(0.0, bits.shape), bits, C, i, j, k)
+    return k, j - k + 1, _bit_backtrack(bits, C, i, j, k)
+
+
+def _bit_backtrack(bits2d: np.ndarray, C: int, i: int, j: int, u: int) -> list[int]:
+    """Rows (0-based) of a significant chain of u nodes ending at (i, j), each
+    earlier node at the smallest row that keeps the chain: the witness of
+    :func:`backtrack` at all-zero intensities, where a sum matches exactly when
+    its cell is reachable.
+
+    Packs each of the chain's u columns into a Python int, row r at bit r, and
+    sweeps reach_c = z_c & OR over |d| <= C of reach_{c-1} shifted by d rows
+    (z_c drops the bits shifted past the last row). Then walks back to the
+    lowest bit of reach_{c-1} within C rows of each node.
+    """
+    nb = -(-bits2d.shape[0] // 8)  # bytes per packed column
+    data = np.packbits(bits2d[:, j - u + 1 : j + 1].T, axis=1, bitorder="little").tobytes()
+    reach = [int.from_bytes(data[:nb], "little")]
+    for at in range(nb, u * nb, nb):
+        prev = near = reach[-1]
+        for d in range(1, C + 1):
+            near |= prev << d | prev >> d
+        reach.append(int.from_bytes(data[at : at + nb], "little") & near)
+    rows = [i]
+    for prev in reversed(reach[:-1]):
+        lo = max(rows[-1] - C, 0)
+        window = (prev >> lo) & ((1 << (rows[-1] + C - lo + 1)) - 1)
+        rows.append(lo + (window & -window).bit_length() - 1)
+    rows.reverse()
+    return rows
 
 
 def _scan_ends(x: np.ndarray, z: np.ndarray, C: int, U: int, center: float,
@@ -345,7 +381,9 @@ def scan_best_single(x2d: np.ndarray, z2d: np.ndarray, C: int, U: int,
 
 
 def backtrack(x2d: np.ndarray, z2d: np.ndarray, C: int, i: int, j: int, u: int) -> list[int]:
-    """Rows (0-based) of a chain of u nodes ending at (i, j) with the best sum.
+    """Rows (0-based) of a chain of u nodes ending at (i, j) with the best sum:
+    the scan stage's witness. (The run witness, at all-zero intensities, is
+    :func:`_bit_backtrack`'s, with the same tie rule.)
 
     Sweeps the chain's u columns forward on their :func:`_padded` layout,
     NEG_INF in the pads and off the significant cells, with the sums of

@@ -198,17 +198,20 @@ def detect(grid: ImageGrid, config: DetectorConfig) -> DetectionResult:
     stage, so a config that disagrees with the grid fails whatever the data.
     The witness is the chain behind whichever statistic decided. The run
     stage runs once per grid: its one pass gives the length and the Step I
-    witness.
+    witness. Step II scores values only; the scan's end and witness are
+    found only when its value passes the cut.
     """
     thr, U = _resolve(config, grid.m, grid.n)
     sig = significance_map(grid, config.x_star)
     run = longest_run_length(sig, config.C)
     if run.length > thr.step1:
         return DetectionResult(True, "step1", run.length, None, thr, run.witness)
-    scan = scan_statistic(grid, sig, config.C, U, center=null_conditional_mean(config.x_star))
-    if scan.value > thr.step2:
+    center = null_conditional_mean(config.x_star)
+    value = float(_kernels.scan_values(grid.values, sig.bits, config.C, U, center)[0])
+    if value > thr.step2:
+        scan = scan_statistic(grid, sig, config.C, U, center=center)
         return DetectionResult(True, "step2", run.length, scan.value, thr, scan.arg_chain)
-    return DetectionResult(False, "none", run.length, scan.value, thr, None)
+    return DetectionResult(False, "none", run.length, value, thr, None)
 
 
 def _score_stacks(stacks, C: int, U: int) -> tuple[np.ndarray, np.ndarray]:

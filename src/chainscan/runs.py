@@ -37,8 +37,9 @@ def longest_run_length(sig_map: SignificanceMap, C: int) -> RunResult:
     over the live cells only, so the cost follows the answer at any depth,
     whatever the live cells' count. The same
     pass also gives the row-major first cell (smallest row, then smallest
-    column) that ends a longest chain, and a backtrack from it rebuilds the
-    witness: each earlier node takes the smallest row that keeps the chain.
+    column) that ends a longest chain, and a backtrack from it over the
+    chain's own columns, packed one bit per row, rebuilds the witness: each
+    earlier node takes the smallest row that keeps the chain.
     """
     if C < 0:
         raise ValueError(f"drift bound C must be >= 0, got {C}")

@@ -174,6 +174,38 @@ class TestDetect:
         assert res.witness == longest_run_length(sig, config10.C).witness
         assert check_chain(res.witness, sig, config10.C) == res.l0_length
 
+    def test_step2_scores_values_and_backtracks_only_on_rejection(self, config10,
+                                                                   monkeypatch):
+        # Step II reads the values-only scan; the scan's end and witness are
+        # found only when that value passes the cut, and the run witness walks
+        # bit columns, so a grid that no stage rejects makes no float backtrack
+        calls = []
+        backtrack = _kernels.backtrack
+        monkeypatch.setattr(_kernels, "backtrack",
+                            lambda *a: calls.append(1) or backtrack(*a))
+        lam = null_conditional_mean(config10.x_star)
+        stages = []
+        for seed in range(12):
+            null = generate_null_grid(10, 400, seed=seed)
+            bright = embed_chain(null, generate_chain(10, 400, 1, 3, seed=seed + 1), 6.0)
+            for grid in (null, bright, ImageGrid(np.zeros((10, 400)))):
+                calls.clear()
+                res = detect(grid, config10)
+                stages.append(res.deciding_stage)
+                if res.deciding_stage == "step1":
+                    assert not calls
+                    continue
+                sig = significance_map(grid, config10.x_star)
+                cap = _resolve(config10, grid.m, grid.n)[1]
+                calls_so_far = len(calls)
+                scan = scan_statistic(grid, sig, config10.C, cap, center=lam)
+                assert res.x_star_s.hex() == scan.value.hex()
+                if res.deciding_stage == "none":
+                    assert calls_so_far == 0
+                else:
+                    assert calls_so_far == 1 and res.witness == scan.arg_chain
+        assert {"step1", "step2", "none"} <= set(stages)
+
     def test_u_override_validated(self):
         cfg = make_config(10, U_override=100)
         grid = generate_null_grid(10, 50, seed=1)

@@ -11,6 +11,7 @@ import pytest
 
 from chainscan import (
     DEFAULT_X_STAR,
+    ChainPath,
     SignificanceMap,
     _kernels,
     longest_run_bruteforce,
@@ -407,6 +408,84 @@ class TestBacktrackTieRule:
                 assert sum(x[r, j - u + 1 + k] for k, r in enumerate(got)) == total
                 checked += 1
         assert checked > 500
+
+
+def _reach_column(z, C, j, u):
+    """Rows of column j that end a chain of u significant nodes, by a dense sweep
+    over columns j-u+1..j."""
+    m = z.shape[0]
+    col = z[:, j - u + 1].copy()
+    for c in range(j - u + 2, j + 1):
+        near = np.zeros(m + 2 * C, dtype=bool)
+        for d in range(2 * C + 1):
+            near[d : d + m] |= col
+        col = z[:, c] & near[C : C + m]
+    return np.flatnonzero(col)
+
+
+class TestBitBacktrack:
+    """The run witness walks packed bit columns: at all-zero intensities it is
+    the shared float backtrack's witness, whose sums match exactly at the
+    reachable cells, for any end and length."""
+
+    def test_matches_float_backtrack(self):
+        rng = np.random.default_rng(20261022)
+        checked = {1: 0, "deep": 0}
+        for m in (1, 7, 8, 9, 63, 64, 65, 130):  # one, two and three bytes a column
+            for C in range(4):
+                n = int(rng.integers(1, 90))
+                z = rng.random((m, n)) < rng.choice([0.3, 0.6, 0.95])
+                zeros = np.zeros(z.shape)
+                for _ in range(12):
+                    j = int(rng.integers(0, n))
+                    u = 1 if rng.random() < 0.25 else int(rng.integers(1, j + 2))
+                    for i in _reach_column(z, C, j, u)[:3].tolist():
+                        got = _kernels._bit_backtrack(z, C, i, j, u)
+                        assert got == _kernels.backtrack(zeros, z, C, i, j, u)
+                        checked[1] += u == 1
+                k, start, rows = _kernels.longest_chain_with_witness(z, C)
+                if k:
+                    assert rows == _kernels.backtrack(zeros, z, C, rows[-1], start + k - 1, k)
+                # a chain deeper than 512 nodes on noise that ties many paths
+                deep = rng.random((m, 700)) < 0.4
+                row = int(rng.integers(0, m))
+                for c in range(40, 700):
+                    deep[row, c] = True
+                    row = min(m - 1, max(0, row + int(rng.integers(-C, C + 1))))
+                k, start, rows = _kernels.longest_chain_with_witness(deep, C)
+                assert k > 512
+                assert rows == _kernels.backtrack(np.zeros(deep.shape), deep, C, rows[-1],
+                                                  start + k - 1, k)
+                check_chain(ChainPath(start + 1, tuple(r + 1 for r in rows)),
+                            SignificanceMap(deep), C)
+                checked["deep"] += 1
+        assert checked[1] >= 20 and checked["deep"] == 32
+
+
+class TestLoneTrial:
+    """A lone trial's packed layers skip the per-trial liveness check: its
+    length and end are those of the same trial inside a stack, with and
+    without a stop, in either phase and across the hand-off."""
+
+    @pytest.mark.parametrize("ratio", [0, None, 10**9])  # list, default hand-off, packed
+    def test_lone_trial_matches_its_stack(self, ratio, phase):
+        if ratio is not None:
+            phase(ratio)
+        rng = np.random.default_rng([20261022, 2])
+        for case in range(40):
+            T, m = int(rng.integers(2, 5)), int(rng.choice([1, 3, 10]))
+            n, C = int(rng.choice([1, 5, 63, 64, 65, 130, 700])), int(rng.integers(0, 4))
+            z = rng.random((T, m, n)) < rng.choice([0.0, 0.1, 0.3, 0.9], size=(T, 1, 1))
+            if case % 3 == 0:  # a chain across the grid: deep in every phase
+                z[0, 0] = True
+            for stop in (None, 1, 2, 5, n // 2 + 1):
+                ends = np.full(T, -7, dtype=np.int64)
+                lengths = _kernels.chain_lengths(z, C, ends, stop=stop)
+                for t in range(T):
+                    end = np.full(1, -7, dtype=np.int64)
+                    lone = _kernels.chain_lengths(z[t], C, end, stop=stop)
+                    assert (lone[0], end[0]) == (lengths[t], ends[t])
+                    assert _kernels.chain_lengths(z[t], C, stop=stop)[0] == lengths[t]
 
 
 class TestScanEarlyExit:

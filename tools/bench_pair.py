@@ -12,8 +12,12 @@ quartiles (numpy's linear percentiles 25 and 75) of each metric per workload
 and side, the number of pairs in which this checkout did better on each metric
 (the direction is the one ``BENCHMARK.json`` gives), a :func:`verdict` per
 workload and metric from that metric's ``bound`` and ``better``, and the
-machine: nproc, Python and numpy versions. Each verdict is also printed, one
-line per workload and metric, with both sides' medians and quartiles.
+machine: nproc, Python and numpy versions. Each run also records its number of
+timed rounds, read from ``bench/run.py``'s stderr summary line, with the median
+per workload and side: the harness keeps every round's output until its checks,
+so more rounds in the same seconds raise ``peak_rss_mb``. Each verdict is also
+printed, one line per workload and metric, with both sides' medians and
+quartiles, and the median rounds beside ``peak_rss_mb``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -31,10 +36,21 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+ROUNDS = re.compile(r"(\d+) rounds of \d+ operations")
+
+
+def rounds_of(stderr: str) -> int:
+    """The number of timed rounds in ``bench/run.py``'s stderr summary line,
+    ``<workload> seed <s>: <N> rounds of <K> operations; ...`` (the last one)."""
+    found = ROUNDS.findall(stderr)
+    if not found:
+        raise ValueError("no 'N rounds of K operations' line in the stderr")
+    return int(found[-1])
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` process in ``checkout``: its last stdout line, parsed."""
+    """One ``bench/run.py`` process in ``checkout``: its last stdout line, parsed,
+    and its timed rounds from the stderr."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
@@ -44,6 +60,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                            f"{proc.stderr[-2000:]}")
     out = json.loads(lines[-1])
     return {"correct": out["correct"], "attempted": out["attempted"], "failed": out["failed"],
+            "rounds": rounds_of(proc.stderr),
             "metrics": {name: m["value"] for name, m in out["metrics"].items()}}
 
 
@@ -63,11 +80,12 @@ def verdict(parent: list[float], change: list[float], wins: int, metric: dict) -
 
 
 def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
-    """Per workload: each side's median and quartiles of each metric, the number
-    of pairs in which the change did better than the parent, and for each metric
-    in ``metrics`` (the ``end_to_end`` entries of ``BENCHMARK.json`` by name) a
-    :func:`verdict`."""
-    summary = {key: {} for key in ("medians", "quartiles", "change_better_pairs", "verdicts")}
+    """Per workload: each side's median and quartiles of each metric and its
+    median timed rounds, the number of pairs in which the change did better
+    than the parent, and for each metric in ``metrics`` (the ``end_to_end``
+    entries of ``BENCHMARK.json`` by name) a :func:`verdict`."""
+    summary = {key: {} for key in ("medians", "quartiles", "rounds", "change_better_pairs",
+                                   "verdicts")}
     for wl in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == wl]
         names = list(mine[0]["metrics"])
@@ -81,6 +99,9 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
         summary["quartiles"][wl] = {side: {name: np.percentile(v, [25, 75]).tolist()
                                            for name, v in values[side].items()}
                                     for side in SIDES}
+        summary["rounds"][wl] = {side: statistics.median(r["rounds"] for r in mine
+                                                         if r["side"] == side)
+                                 for side in SIDES}
         wins = {"pairs": len(pairs)}
         for name in names:
             sign = -1.0 if metrics.get(name, {}).get("better", "lower") == "lower" else 1.0
@@ -116,7 +137,8 @@ def main(argv=None) -> int:
                 runs.append({"workload": wl, "seed": seed, "side": side, **run})
                 print(f"{wl} seed {seed} {side}: "
                       + ", ".join(f"{k} {v:.4g}" for k, v in run["metrics"].items())
-                      + f", failed {run['failed']}", file=sys.stderr, flush=True)
+                      + f", rounds {run['rounds']}, failed {run['failed']}",
+                      file=sys.stderr, flush=True)
     summary = summarize(runs, metrics)
     report = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
@@ -131,7 +153,11 @@ def main(argv=None) -> int:
                 f"{side} {summary['medians'][wl][side][name]:.4g} "
                 "[{:.4g}, {:.4g}]".format(*summary["quartiles"][wl][side][name])
                 for side in SIDES)
-            print(f"{wl} {name}: {sides}; change better in {wins[name]} of "
+            rounds = ""
+            if name == "peak_rss_mb":
+                rounds = " (median rounds " + ", ".join(
+                    f"{side} {summary['rounds'][wl][side]:g}" for side in SIDES) + ")"
+            print(f"{wl} {name}: {sides}{rounds}; change better in {wins[name]} of "
                   f"{wins['pairs']} pairs: {word}")
     return 0
 

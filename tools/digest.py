@@ -16,8 +16,9 @@ sampler's bits and tail values, seeded chain draws, the batched kernels and
 witnesses
 (also on stacks with about 0.2-0.3 of their cells significant, and at drift
 windows C = 3 and 5 that reach past small grids' rows, and at widths around
-the 64-column words of the packed run stage), the null grids of the
-complexity criterion, and the stdout of every demo. It runs in about a
+the 64-column words of the packed run stage), deep witnesses on lone grids
+whose packed columns span several bytes, the null grids of the complexity
+criterion, and the stdout of every demo. It runs in about a
 minute on two cores.
 """
 
@@ -416,6 +417,25 @@ def word_boundary_stacks() -> None:
             emit(f"kernels/word-boundary-n{n}-m{m}-C{C}", b"|".join(parts))
 
 
+def deep_lone_witnesses() -> None:
+    """Run-stage length, end and witness of lone grids with 65 and 130 rows
+    (two and three bytes per packed column) at C = 0 and 3: sparse noise
+    crossed by a planted walk of 600 to 900 nodes."""
+    for m in (65, 130):
+        for C in (0, 3):
+            r = rng(20, 31, m, C)
+            z = r.random((m, 1500)) < 0.1
+            row, start = int(r.integers(0, m)), int(r.integers(0, 600))
+            for c in range(start, start + int(r.integers(600, 901))):
+                z[row, c] = True
+                row = min(m - 1, max(0, row + int(r.integers(-C, C + 1))))
+            end = np.zeros(1, dtype=np.int64)
+            parts = [_kernels.chain_lengths(z, C, end).tobytes(), end.tobytes(),
+                     repr(_kernels.longest_chain_with_witness(z, C)).encode(),
+                     repr(cs.longest_run_length(cs.SignificanceMap(z), C)).encode()]
+            emit(f"kernels/deep-lone-witness-m{m}-C{C}", b"|".join(parts))
+
+
 def complexity_grids() -> None:
     """Library ``detect`` on the null grids of ``test_criterion_complexity``."""
     config = cs.make_config(10)
@@ -453,5 +473,6 @@ if __name__ == "__main__":
     dense_fraction_stacks()
     wide_drift_stacks()
     word_boundary_stacks()
+    deep_lone_witnesses()
     complexity_grids()
     demos()
